@@ -22,18 +22,18 @@ check:
 # Step-benchmark record: machine-readable ns/op + allocs/op for the
 # simulator hot path, for diffing across commits.
 bench:
-	$(GO) test -bench 'Step|LatencyCurve|RunIdle|WarmupFork|Checkpoint|FigAllPlanned|MapSerial' -benchmem -run '^$$' ./... | $(GO) run ./cmd/benchjson > BENCH_step.json
+	$(GO) test -bench 'Step|Table3Drain|LatencyCurve|RunIdle|WarmupFork|Checkpoint|FigAllPlanned|MapSerial' -benchmem -run '^$$' ./... | $(GO) run ./cmd/benchjson > BENCH_step.json
 	@cat BENCH_step.json
 
 # Rerun the step benchmarks and diff against the checked-in record
 # without touching it: per-benchmark ns/op and allocs/op deltas.
 benchdiff:
-	$(GO) test -bench 'Step|LatencyCurve|RunIdle|WarmupFork|Checkpoint|FigAllPlanned|MapSerial' -benchmem -run '^$$' ./... | $(GO) run ./cmd/benchjson -compare BENCH_step.json
+	$(GO) test -bench 'Step|Table3Drain|LatencyCurve|RunIdle|WarmupFork|Checkpoint|FigAllPlanned|MapSerial' -benchmem -run '^$$' ./... | $(GO) run ./cmd/benchjson -compare BENCH_step.json
 
 # benchdiff as a gate: exit non-zero if any benchmark regressed past
 # 10% ns/op (single-run benchmarks are noisy; use a generous margin).
 benchgate:
-	$(GO) test -bench 'Step|LatencyCurve|RunIdle|WarmupFork|Checkpoint|FigAllPlanned|MapSerial' -benchmem -run '^$$' ./... | $(GO) run ./cmd/benchjson -compare BENCH_step.json -fail-above 10
+	$(GO) test -bench 'Step|Table3Drain|LatencyCurve|RunIdle|WarmupFork|Checkpoint|FigAllPlanned|MapSerial' -benchmem -run '^$$' ./... | $(GO) run ./cmd/benchjson -compare BENCH_step.json -fail-above 10
 
 # Regenerate the checked-in quick-scale results record.
 figures:

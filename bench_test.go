@@ -7,7 +7,9 @@ package seec_test
 // doubles as a compact reproduction record.
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"runtime"
 	"strconv"
 	"testing"
@@ -279,4 +281,77 @@ func BenchmarkStepSEEC8x8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sim.Step()
 	}
+}
+
+// BenchmarkStepSchemes measures one Sim.Step of an 8x8 mesh under every
+// credit-flow scheme at BenchmarkStep's three loads: near idle,
+// moderate, and far past saturation. Synthetic injection queues are
+// unbounded, so a saturated run would grow them without limit; the
+// benchmark instead rewinds to its warmed-up checkpoint every
+// stepWindow steps (timer stopped), so every timed step sees the same
+// regime and memory stays flat.
+func BenchmarkStepSchemes(b *testing.B) {
+	const stepWindow = 4096
+	for _, sc := range creditFlowSchemes() {
+		for _, rate := range []float64{0.02, 0.20, 0.60} {
+			b.Run(fmt.Sprintf("%s/rate=%.2f", sc, rate), func(b *testing.B) {
+				cfg := seec.DefaultConfig()
+				cfg.Scheme = sc
+				cfg.InjectionRate = rate
+				sim, err := seec.NewSim(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sim.Run(2000)
+				var ck bytes.Buffer
+				if err := sim.SaveCheckpoint(&ck); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if i > 0 && i%stepWindow == 0 {
+						b.StopTimer()
+						sim.Close()
+						if sim, err = seec.NewSimFromCheckpoint(cfg, bytes.NewReader(ck.Bytes())); err != nil {
+							b.Fatal(err)
+						}
+						b.StartTimer()
+					}
+					sim.Step()
+				}
+				sim.Close()
+			})
+		}
+	}
+}
+
+// BenchmarkTable3Drain is one Table 3 drain job at the size sweep-cold
+// runs it: a 4x4 SEEC mesh with one VC under minimal-adaptive routing,
+// saturated (rate 0.5) for 4000 cycles until it wedges, then drained
+// with injection paused. Nearly every VC allocation in the drain fails
+// and replays its memo, so this is the fused path's failure regime.
+func BenchmarkTable3Drain(b *testing.B) {
+	cfg := seec.DefaultConfig()
+	cfg.Rows, cfg.Cols = 4, 4
+	cfg.VCsPerVNet = 1
+	cfg.InjectionRate = 0.5
+	var drained int64
+	for i := 0; i < b.N; i++ {
+		sim, err := seec.NewSim(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sim.Run(4000)
+		sim.Synthetic.Pause()
+		start := sim.Cycle()
+		for !sim.Drained() && sim.Cycle()-start < 5_000_000 {
+			sim.Step()
+		}
+		if !sim.Drained() {
+			b.Fatal("drain did not complete")
+		}
+		drained = sim.Cycle() - start
+	}
+	b.ReportMetric(float64(drained), "drain-cycles")
 }

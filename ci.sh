@@ -8,6 +8,14 @@
 set -eu
 go build ./...
 go vet ./...
+# Formatting gate: every Go source file must be gofmt-clean (the
+# benchmark's build directory is skipped; it is not source).
+unformatted=$(find . -name '*.go' -not -path './.bench_build/*' -exec gofmt -l {} +)
+if [ -n "$unformatted" ]; then
+    echo "ci: files not gofmt-clean (run gofmt -w):" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
 go test -timeout 30m ./...
 # GOMAXPROCS=4 so the race pass sees real parallelism even on 1-CPU CI
 # boxes: the slab layout's false-sharing and staging races only exist

@@ -86,8 +86,8 @@ func TestWarmupForkIdentityMatrix(t *testing.T) {
 // TestWarmupForkShardedIdentity pins the sharded leg: forking from a
 // warm state with intra-run sharding enabled produces the same bytes
 // as the serial fork and as independent sharded runs of the base —
-// the planner copies Scale.Shards into every family base, so a shard
-//-dependent fork would silently skew shared sweeps.
+// the planner copies Scale.Shards into every family base, so a
+// shard-dependent fork would silently skew shared sweeps.
 func TestWarmupForkShardedIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("several full runs; skipped in -short")

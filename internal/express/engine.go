@@ -112,7 +112,7 @@ func (e *engine) acquireEj(nicID, class int) (int, bool) {
 // unreserveEj releases a reservation after a seeker returned empty.
 func (e *engine) unreserveEj(nicID, ejIdx int) {
 	e.n.NICs[nicID].Ej[ejIdx].Reserved = false
-	e.n.Routers[nicID].Out[noc.Local].VCs[ejIdx].Busy = false
+	e.n.Routers[nicID].Out[noc.Local].FreeVC(ejIdx)
 	if tr := e.n.Tracer; tr != nil {
 		tr.Record(trace.Event{Cycle: e.n.Cycle, Kind: trace.EvSeekerReturn,
 			Node: int32(nicID), Port: -1, VC: int16(ejIdx)})
@@ -155,7 +155,7 @@ func (e *engine) freeze(m match) {
 	if m.inport >= 0 {
 		vc := e.n.Routers[m.router].In[m.inport].VCs[m.vc]
 		if vc.OutVC >= 0 {
-			e.n.Routers[m.router].Out[vc.OutPort].VCs[vc.OutVC].Busy = false
+			e.n.Routers[m.router].Out[vc.OutPort].FreeVC(vc.OutVC)
 		}
 		vc.EnterFF()
 	} else {

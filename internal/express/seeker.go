@@ -179,7 +179,7 @@ func (s *seeker) search(n *noc.Network, r int, prev origin) (match, bool) {
 		for qi, pkt := range n.NICs[r].QueuedPackets(s.class) {
 			if pkt.Dst == s.nic && !pkt.FF {
 				if m, done := note(match{router: r, inport: -1, vc: qi,
-				pkt: pkt, pktID: pkt.ID, created: pkt.Created}); done {
+					pkt: pkt, pktID: pkt.ID, created: pkt.Created}); done {
 					return m, true
 				}
 			}

@@ -48,7 +48,73 @@ func (n *Network) CheckInvariants() error {
 			}
 		}
 	}
+	if err := n.checkMemos(); err != nil {
+		return err
+	}
 	return n.CheckActiveSets()
+}
+
+// checkMemos audits the allocation memos against the decisions they
+// stand in for. Memos exist only on the fused path. A VC whose VA
+// failure memo is current (no candidate port freed a VC since) must be
+// a VA-eligible head that the generic DefaultVA.Select still cannot
+// allocate, drawing the tie-break exactly when the memo says so; a NIC
+// marked injBlocked must have no queue head SelectInject could place.
+// Select runs on a copy of the RNG, so the audit never perturbs the
+// stream.
+func (n *Network) checkMemos() error {
+	for _, r := range n.Routers {
+		for p := 0; p < NumPorts; p++ {
+			in := r.In[p]
+			if in == nil {
+				continue
+			}
+			for _, vc := range in.VCs {
+				if vc.memoN == 0 {
+					continue
+				}
+				where := fmt.Sprintf("router %d port %s vc %d", r.ID, DirName(p), vc.ID)
+				if !n.vaFast {
+					return fmt.Errorf("%s: VA memo off the fused path", where)
+				}
+				if vc.State != VCActive || vc.FFMode || vc.OutVC >= 0 || vc.Empty() || !vc.Front().IsHead() {
+					return fmt.Errorf("%s: VA memo on a VC with no unallocated head", where)
+				}
+				if !r.memoCurrent(vc) {
+					continue
+				}
+				orig := n.Rng
+				cp := *orig
+				n.Rng = &cp
+				a, ok := DefaultVA{Kind: n.vaKind}.Select(r, in, vc)
+				n.Rng = orig
+				if ok {
+					return fmt.Errorf("%s: current VA memo but Select grants port %s vc %d",
+						where, DirName(a.OutPort), a.OutVC)
+				}
+				if drew := cp.State() != orig.State(); drew != vc.memoDraw {
+					return fmt.Errorf("%s: VA memo draw=%v but Select draw=%v", where, vc.memoDraw, drew)
+				}
+			}
+		}
+	}
+	for id, nic := range n.NICs {
+		if !nic.injBlocked {
+			continue
+		}
+		if !n.vaFast || nic.cur != nil {
+			return fmt.Errorf("nic %d: injection memo off the fused path or mid-packet", id)
+		}
+		for c, q := range nic.Queues {
+			if len(q) == 0 {
+				continue
+			}
+			if v, ok := n.VA.SelectInject(n.Routers[id], nic.LocalMirror, q[0]); ok {
+				return fmt.Errorf("nic %d: injection memo set but class %d head fits local vc %d", id, c, v)
+			}
+		}
+	}
+	return nil
 }
 
 // CheckActiveSets audits the activity tracking that lets Step skip

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"seec/internal/express"
 	"seec/internal/fault"
 	"seec/internal/noc"
 	"seec/internal/rng"
@@ -77,9 +78,22 @@ func benchNetworkMesh(tb testing.TB, rows, cols int, rate float64, shards int) *
 	cfg := noc.DefaultConfig()
 	cfg.Rows, cfg.Cols = rows, cols
 	cfg.Routing = noc.RoutingXY
+	return loadedNetwork(tb, cfg, rate, shards)
+}
+
+// seecNetwork builds the steady-state 8x8 SEEC mesh: the paper's
+// minimal-adaptive routing over one unified VNet, which exercises the
+// fused allocation path's tie-break draws and failure memo.
+func seecNetwork(tb testing.TB, rate float64) *noc.Network {
+	return loadedNetwork(tb, noc.DefaultConfig(), rate, 0, noc.WithScheme(express.NewSEEC(express.Options{})))
+}
+
+// loadedNetwork builds cfg under the throttled benchmark source and
+// runs it to steady-state occupancy.
+func loadedNetwork(tb testing.TB, cfg noc.Config, rate float64, shards int, opts ...noc.Option) *noc.Network {
 	cfg.InjQueueCap = 16
 	src := newBenchSource(rate, 0xbe7c4, cfg.Nodes())
-	n, err := noc.New(cfg, noc.WithTraffic(src))
+	n, err := noc.New(cfg, append(opts, noc.WithTraffic(src))...)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -187,15 +201,21 @@ func BenchmarkStepTraced(b *testing.B) {
 // Metrics and Watchdog all nil (the default), the Step hot path must
 // not allocate at all, at idle or at saturation. This pins the
 // "instrumentation is free when off" contract independently of the
-// benchmark record in BENCH_step.json.
+// benchmark record in BENCH_step.json. The SEEC mesh holds the fused
+// adaptive allocation path and its memos to the same bound.
 func TestStepZeroAllocsUntraced(t *testing.T) {
 	for _, rate := range []float64{0.02, 0.60} {
-		n := benchNetwork(t, rate)
-		if n.Tracer != nil || n.Metrics != nil || n.Watchdog != nil {
-			t.Fatal("default network must be uninstrumented")
-		}
-		if avg := testing.AllocsPerRun(500, func() { n.Step() }); avg != 0 {
-			t.Errorf("rate=%.2f: Step allocates %.2f allocs/op with tracing disabled, want 0", rate, avg)
+		for _, mesh := range []struct {
+			name  string
+			build func(testing.TB, float64) *noc.Network
+		}{{"xy", benchNetwork}, {"seec", seecNetwork}} {
+			name, n := mesh.name, mesh.build(t, rate)
+			if n.Tracer != nil || n.Metrics != nil || n.Watchdog != nil {
+				t.Fatal("default network must be uninstrumented")
+			}
+			if avg := testing.AllocsPerRun(500, func() { n.Step() }); avg != 0 {
+				t.Errorf("%s rate=%.2f: Step allocates %.2f allocs/op with tracing disabled, want 0", name, rate, avg)
+			}
 		}
 	}
 }

@@ -420,6 +420,10 @@ func (n *Network) RestoreState(r *checkpoint.Reader) error {
 				out.VCs[i].Busy = r.Bool()
 				out.VCs[i].Credits = r.Int()
 			}
+			// Busy flags may have fallen without FreeVC: invalidate
+			// any VA failure memo keyed on this port (sync above has
+			// already dropped this router's own).
+			out.freeGen++
 		}
 	}
 
@@ -428,7 +432,10 @@ func (n *Network) RestoreState(r *checkpoint.Reader) error {
 		nic.ejOccupied = 0
 		for c := range nic.Queues {
 			nq := r.SliceLen(maxActive)
-			q := nic.Queues[c][:0]
+			// Rebuild at the start of the backing array; a grown array
+			// becomes the new base.
+			clear(nic.Queues[c])
+			q := nic.qBase[c][:0]
 			for i := 0; i < nq; i++ {
 				p, err := RestorePacket(r)
 				if err != nil {
@@ -437,8 +444,10 @@ func (n *Network) RestoreState(r *checkpoint.Reader) error {
 				q = append(q, p)
 			}
 			nic.Queues[c] = q
+			nic.qBase[c] = q
 			nic.backlog += len(q)
 		}
+		nic.injBlocked = false
 		nic.classPtr = normPtr(r.Int(), len(nic.Queues))
 		cur, err := RestorePacket(r)
 		if err != nil {

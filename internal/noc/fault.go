@@ -203,11 +203,9 @@ func (n *NIC) enqueueRetx(rx fault.Retx) {
 		Attempt: rx.Attempt,
 	}
 	p.Csum = pktCsum(p)
+	n.push(rx.Class, nil)
 	q := n.Queues[rx.Class]
-	q = append(q, nil)
 	copy(q[1:], q)
 	q[0] = p
-	n.Queues[rx.Class] = q
-	n.backlog++
 	n.Net.InFlight++
 }

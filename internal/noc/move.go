@@ -51,7 +51,7 @@ func (n *Network) ExtractPacket(r, p, v int) []Flit {
 		panic("noc: ExtractPacket of partially buffered packet")
 	}
 	if vc.OutVC >= 0 {
-		rt.Out[vc.OutPort].VCs[vc.OutVC].Busy = false
+		rt.Out[vc.OutPort].FreeVC(vc.OutVC)
 	}
 	pkt := vc.Pkt
 	flits := make([]Flit, 0, pkt.Size)
@@ -59,9 +59,13 @@ func (n *Network) ExtractPacket(r, p, v int) []Flit {
 		flits = append(flits, vc.Pop())
 	}
 	vc.Release()
-	m := &n.UpstreamMirror(r, p)[v]
-	m.Busy = false
-	m.Credits += pkt.Size
+	n.UpstreamMirror(r, p)[v].Credits += pkt.Size
+	// Free the upstream mirror through its owner (see UpstreamMirror).
+	if p == Local {
+		n.NICs[r].FreeLocalVC(v)
+	} else {
+		n.Routers[n.Cfg.Neighbor(r, p)].Out[Opposite(p)].FreeVC(v)
+	}
 	return flits
 }
 

@@ -150,14 +150,15 @@ type Network struct {
 	// SetFastForward; skips are exact, so this is a debugging aid).
 	noFastForward bool
 
-	// vaFastXY devirtualizes VC allocation for the dominant
-	// configuration — plain DefaultVA over XY routing with no fault
-	// injector — so vaTry calls Router.selectXY directly instead of
-	// going through the VAPolicy interface and the generic candidate
-	// machinery. VA and Faults are exported and reassignable, so the
-	// flag is recomputed every cycle (refreshVAFast), never trusted
-	// across one.
-	vaFastXY bool
+	// vaFast selects the fused allocation path: VA is a plain DefaultVA
+	// (any routing kind, recorded in vaKind) and no fault injector is
+	// installed, so vaTry calls Router.vaFused directly instead of going
+	// through the VAPolicy interface, and VA and injection misses are
+	// memoized. VA and Faults are exported and reassignable, so the pair
+	// is recomputed every cycle (refreshVAFast), never trusted across
+	// one.
+	vaFast bool
+	vaKind RoutingKind
 }
 
 // Option mutates a Network during construction (before Attach).
@@ -273,6 +274,7 @@ func New(cfg Config, opts ...Option) (*Network, error) {
 			Node:        id,
 			Net:         n,
 			Queues:      make([][]*Packet, cfg.Classes),
+			qBase:       make([][]*Packet, cfg.Classes),
 			LocalMirror: lay.takeOutVCs(nvcs),
 			Ej:          lay.ejPtrs[id*ejN : (id+1)*ejN : (id+1)*ejN],
 		}
@@ -419,13 +421,29 @@ func (n *Network) stepSerial() {
 	}
 }
 
-// refreshVAFast recomputes the vaFastXY devirtualization flag for the
-// coming router pass. Runs after the scheme's PreRouter hook, so a
-// scheme swapping the VA policy (or faults being installed) is
-// honored the same cycle.
+// refreshVAFast recomputes the fused-path selection for the coming
+// router pass. Runs after the scheme's PreRouter hook, so a scheme
+// swapping the VA policy (or faults being installed) is honored the
+// same cycle. The memos were recorded under the previous selection, so
+// any change drops them all.
 func (n *Network) refreshVAFast() {
 	d, ok := n.VA.(DefaultVA)
-	n.vaFastXY = ok && d.Kind == RoutingXY && n.Faults == nil
+	fast := ok && n.Faults == nil
+	if fast == n.vaFast && (!fast || d.Kind == n.vaKind) {
+		return
+	}
+	n.vaFast, n.vaKind = fast, d.Kind
+	n.dropMemos()
+}
+
+// dropMemos clears every VA failure memo and NIC injection memo.
+func (n *Network) dropMemos() {
+	for i := range n.lay.vcs {
+		n.lay.vcs[i].memoN = 0
+	}
+	for i := range n.lay.nics {
+		n.lay.nics[i].injBlocked = false
+	}
 }
 
 // bumpVARound advances the VA rotation by one cycle, keeping the

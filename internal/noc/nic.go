@@ -37,6 +37,8 @@ type NIC struct {
 	Net  *Network
 
 	// Queues holds not-yet-injected packets, one FIFO per message class.
+	// Each queue is a window onto the backing array in qBase, so
+	// dequeue (popHead) is O(1) however long the backlog grows.
 	Queues [][]*Packet
 
 	classPtr int     // round-robin pointer over classes, always in [0, Classes)
@@ -66,7 +68,19 @@ type NIC struct {
 	// parallel stage runs.
 	shard *shardState
 
-	_ [32]byte // pad to 192 (see layout.go size pins)
+	// qBase[c] is the start of Queues[c]'s backing array, so a drained
+	// queue rewinds to it and a full one can slide back over the slots
+	// dequeue left behind (see push).
+	qBase [][]*Packet
+
+	// injBlocked memoizes a failed pickNext on the fused allocation
+	// path: every queued head found its local VCs busy, and nothing
+	// pickNext reads has changed since. Cleared when LocalMirror frees
+	// a VC (FreeLocalVC) or a queue changes; derived state, never
+	// checkpointed.
+	injBlocked bool
+
+	_ [7]byte // pad to 192 (see layout.go size pins)
 }
 
 // EjIndex returns the index in Ej of ejection VC i of the given class.
@@ -94,7 +108,49 @@ func (n *NIC) RemoveQueued(class, i int) *Packet {
 	q[len(q)-1] = nil
 	n.Queues[class] = q[:len(q)-1]
 	n.backlog--
+	n.injBlocked = false
 	return p
+}
+
+// push appends p to the class's injection queue. When the window has
+// reached the end of its backing array it first slides the live
+// packets back to the array's start if dequeue has left at least as
+// many dead slots as there are live packets (so each slide is paid for
+// by as many earlier dequeues), and otherwise moves to an array twice
+// the size. Either way a queue costs O(1) amortized per packet.
+func (n *NIC) push(class int, p *Packet) {
+	q := n.Queues[class]
+	if len(q) == cap(q) {
+		base := n.qBase[class]
+		if dead := cap(base) - cap(q); len(q) > 0 && dead >= len(q) {
+			live := base[:len(q)]
+			copy(live, q)
+			clear(q)
+			q = live
+		} else {
+			nq := make([]*Packet, len(q), 2*len(q)+4)
+			copy(nq, q)
+			n.qBase[class] = nq
+			q = nq
+		}
+	}
+	n.Queues[class] = append(q, p)
+	n.backlog++
+	n.injBlocked = false
+}
+
+// popHead dequeues the head of the class's injection queue in O(1):
+// the slot is cleared and the window advances past it, rewinding to
+// the backing array's start once the queue is empty.
+func (n *NIC) popHead(class int) {
+	q := n.Queues[class]
+	q[0] = nil
+	if len(q) == 1 {
+		n.Queues[class] = n.qBase[class][:0]
+	} else {
+		n.Queues[class] = q[1:]
+	}
+	n.backlog--
 }
 
 // Enqueue creates a packet from spec and queues it for injection.
@@ -131,8 +187,7 @@ func (n *NIC) Enqueue(spec PacketSpec) *Packet {
 	if n.Net.Faults != nil {
 		p.Csum = pktCsum(p)
 	}
-	n.Queues[spec.Class] = append(n.Queues[spec.Class], p)
-	n.backlog++
+	n.push(spec.Class, p)
 	n.Net.InFlight++
 	n.Net.Collector.NoteInjected(p.Created, p.Size)
 	return p
@@ -146,10 +201,13 @@ func (n *NIC) Enqueue(spec PacketSpec) *Packet {
 // others.
 func (n *NIC) inject() {
 	if n.cur == nil {
+		if n.injBlocked {
+			return
+		}
 		n.pickNext()
-	}
-	if n.cur == nil {
-		return
+		if n.cur == nil {
+			return
+		}
 	}
 	m := &n.LocalMirror[n.curVC]
 	if m.Credits <= 0 || n.InjLink.Busy() {
@@ -183,6 +241,9 @@ func (n *NIC) inject() {
 
 // pickNext selects the next packet to inject: round-robin over classes,
 // first packet of the chosen queue, requires a free local input VC.
+// On the fused allocation path (DefaultVA, no fault injector) a miss
+// depends only on the queue heads and on which LocalMirror VCs are
+// busy, so it is memoized in injBlocked until one of those changes.
 func (n *NIC) pickNext() {
 	classes := len(n.Queues)
 	for k := 0; k < classes; k++ {
@@ -205,10 +266,7 @@ func (n *NIC) pickNext() {
 		if !ok {
 			continue
 		}
-		copy(q, q[1:])
-		q[len(q)-1] = nil
-		n.Queues[c] = q[:len(q)-1]
-		n.backlog--
+		n.popHead(c)
 		n.LocalMirror[v].Busy = true
 		if fi := n.Net.Faults; fi != nil && pkt.Txn == 0 {
 			pkt.Txn = fi.Track(pkt.Src, pkt.Dst, pkt.Class, pkt.Size, pkt.Created, pkt.MinHops)
@@ -222,15 +280,24 @@ func (n *NIC) pickNext() {
 		}
 		return
 	}
+	n.injBlocked = n.Net.vaFast
+}
+
+// FreeLocalVC marks the router's local input VC v as no longer
+// allocated in the NIC's mirror. Like OutputPort.FreeVC it is the only
+// way a LocalMirror Busy flag may fall, and it lifts the injection
+// memo.
+func (n *NIC) FreeLocalVC(v int) {
+	n.LocalMirror[v].Busy = false
+	n.injBlocked = false
 }
 
 // applyCredit is the sink for credits returned by the router's local
 // input port.
 func (n *NIC) applyCredit(c Credit) {
-	m := &n.LocalMirror[c.VC]
-	m.Credits += c.Count
+	n.LocalMirror[c.VC].Credits += c.Count
 	if c.Free {
-		m.Busy = false
+		n.FreeLocalVC(c.VC)
 	}
 }
 

@@ -1,8 +1,10 @@
 package noc
 
 import (
+	"bytes"
 	"testing"
 
+	"seec/internal/checkpoint"
 	"seec/internal/rng"
 )
 
@@ -224,6 +226,105 @@ func TestSeededRandomTrafficAllDeliveredMinimally(t *testing.T) {
 		}
 		if n.Collector.ReceivedPackets != int64(count) {
 			t.Fatalf("trial %d: received %d of %d", trial, n.Collector.ReceivedPackets, count)
+		}
+	}
+}
+
+// TestInjectionMemo: a NIC whose queued head found no free local VC
+// stops retrying, and every event that could let it inject lifts the
+// memo — a mirror free, a queue change, and an in-place checkpoint
+// restore to a state where the VC was free.
+func TestInjectionMemo(t *testing.T) {
+	n := bareNet(t, 1, 1, 1)
+	nic := n.NICs[0]
+	nic.Enqueue(PacketSpec{Dst: 5, Class: 0, Size: 1})
+	cw := checkpoint.NewWriter()
+	if err := n.SaveState(cw); err != nil {
+		t.Fatal(err)
+	}
+	var ck bytes.Buffer
+	if err := cw.WriteTo(&ck, 0); err != nil {
+		t.Fatal(err)
+	}
+	block := func(what string) {
+		t.Helper()
+		nic.LocalMirror[0].Busy = true // as if an earlier packet held the VC
+		n.Step()
+		if !nic.injBlocked || nic.cur != nil {
+			t.Fatalf("%s: blocked head not memoized", what)
+		}
+		if err := n.checkMemos(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	}
+	block("mirror")
+	nic.FreeLocalVC(0)
+	if nic.injBlocked {
+		t.Fatal("FreeLocalVC left the memo set")
+	}
+	block("enqueue")
+	nic.Enqueue(PacketSpec{Dst: 6, Class: 0, Size: 1})
+	if nic.injBlocked {
+		t.Fatal("Enqueue left the memo set")
+	}
+	block("remove")
+	nic.RemoveQueued(0, 1)
+	if nic.injBlocked {
+		t.Fatal("RemoveQueued left the memo set")
+	}
+	block("restore")
+	r, err := checkpoint.NewReader(bytes.NewReader(ck.Bytes()), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.RestoreState(r); err != nil {
+		t.Fatal(err)
+	}
+	n.Step()
+	if len(nic.Queues[0]) != 0 {
+		t.Fatal("restored NIC with a free local VC did not inject")
+	}
+}
+
+// TestInjectionQueueWindow drives one class queue through random
+// enqueue/dequeue/remove sequences against a plain-slice model: the
+// O(1) dequeue window must keep FIFO order, rewind when drained, and
+// keep its backing array within a constant factor of the peak length.
+func TestInjectionQueueWindow(t *testing.T) {
+	n := bareNet(t, 1, 1, 1)
+	nic := n.NICs[0]
+	r := rng.New(77)
+	var model []*Packet
+	peak := 0
+	for step := 0; step < 20000; step++ {
+		popped := false
+		switch k := r.Intn(10); {
+		case k < 5 || len(model) == 0:
+			model = append(model, nic.Enqueue(PacketSpec{Dst: 1, Class: 0, Size: 1}))
+		case k < 9:
+			nic.popHead(0)
+			model = model[1:]
+			popped = true
+		default:
+			i := r.Intn(len(model))
+			nic.RemoveQueued(0, i)
+			model = append(model[:i:i], model[i+1:]...)
+		}
+		peak = max(peak, len(model))
+		q := nic.QueuedPackets(0)
+		if len(q) != len(model) || nic.backlog != len(model) {
+			t.Fatalf("step %d: queue len %d backlog %d, model %d", step, len(q), nic.backlog, len(model))
+		}
+		for i := range q {
+			if q[i] != model[i] {
+				t.Fatalf("step %d: queue order diverged at %d", step, i)
+			}
+		}
+		if popped && len(q) == 0 && cap(q) != cap(nic.qBase[0]) {
+			t.Fatalf("step %d: drained queue did not rewind", step)
+		}
+		if c := cap(nic.qBase[0]); c > 4*peak+8 {
+			t.Fatalf("step %d: backing array %d for peak length %d", step, c, peak)
 		}
 	}
 }

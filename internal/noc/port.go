@@ -88,6 +88,14 @@ type OutputPort struct {
 	// grant it. Set via ReserveFF; cleared at the start of every cycle.
 	FFReserved bool
 
+	// freeGen counts the port's downstream-VC Busy->false transitions.
+	// A head whose fused VC allocation failed snapshots the generations
+	// of its candidate ports; while they are unchanged no VC it could
+	// take has freed, so the allocation provably fails again (the VA
+	// failure memo, DESIGN.md §10.6). Bumped only by FreeVC; it shares
+	// the first cache line with VCs, which allocation reads anyway.
+	freeGen uint32
+
 	saPtr int // round-robin pointer for SA stage 2, always in [0, NumPorts)
 
 	_ [56]byte // pad to 128 (see layout.go size pins)
@@ -121,11 +129,20 @@ func (o *OutputPort) FreeDownVCs(lo, hi int) int {
 	return n
 }
 
+// FreeVC marks downstream VC v as no longer allocated. It is the only
+// way a mirror's Busy flag may go from true to false: it advances the
+// port's free generation, which the VA failure memo keys on. Schemes
+// that release a downstream grant outside the credit path (Free-Flow
+// freezes, seeker reservations) must call it rather than write Busy.
+func (o *OutputPort) FreeVC(v int) {
+	o.VCs[v].Busy = false
+	o.freeGen++
+}
+
 // applyCredit is the credit-link sink for this port.
 func (o *OutputPort) applyCredit(c Credit) {
-	vc := &o.VCs[c.VC]
-	vc.Credits += c.Count
+	o.VCs[c.VC].Credits += c.Count
 	if c.Free {
-		vc.Busy = false
+		o.FreeVC(c.VC)
 	}
 }

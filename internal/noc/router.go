@@ -29,7 +29,9 @@ type VAPolicy interface {
 
 // DefaultVA is the standard allocation policy: try the routing
 // algorithm's candidate ports in order; within a port take the first
-// Idle downstream VC in the packet's class range.
+// Idle downstream VC in the packet's class range. A network whose VA
+// is a DefaultVA value and that has no fault injector does not call
+// Select: it runs the decision-identical fused path (Router.vaFused).
 type DefaultVA struct {
 	Kind RoutingKind
 }
@@ -150,17 +152,30 @@ func (r *Router) va() {
 }
 
 // vaTry re-checks full VA eligibility for one flagged VC (the bit is
-// conservative) and runs the allocation policy on it.
+// conservative) and runs the allocation policy on it. A current VA
+// failure memo answers first: it exists only on the fused path and
+// only while the VC holds the unallocated head it was recorded for
+// (VC.sync drops it on any change), so eligibility need not be
+// re-checked.
 func (r *Router) vaTry(vc *VC) {
-	if vc == nil || vc.State != VCActive || vc.FFMode || vc.OutVC >= 0 ||
-		vc.Empty() || !vc.Front().IsHead() {
+	if vc == nil {
+		return
+	}
+	if vc.memoN != 0 && r.memoCurrent(vc) {
+		if vc.memoDraw {
+			r.Net.Rng.Bool(0.5)
+		}
+		r.vaStall()
+		return
+	}
+	if vc.State != VCActive || vc.FFMode || vc.OutVC >= 0 || vc.Empty() || !vc.Front().IsHead() {
 		return
 	}
 	in := vc.in
 	var a Assign
 	var ok bool
-	if r.Net.vaFastXY {
-		a, ok = r.selectXY(vc.Pkt)
+	if r.Net.vaFast {
+		a, ok = r.vaFused(vc)
 	} else {
 		a, ok = r.Net.VA.Select(r, in, vc)
 	}
@@ -175,7 +190,14 @@ func (r *Router) vaTry(vc *VC) {
 				Node: int32(r.ID), Port: int16(a.OutPort), VC: int16(a.OutVC),
 				Pkt: vc.Pkt.ID, Arg: int64(in.Dir)})
 		}
-	} else if m := r.Net.Metrics; m != nil {
+	} else {
+		r.vaStall()
+	}
+}
+
+// vaStall records a failed VC allocation when metrics are installed.
+func (r *Router) vaStall() {
+	if m := r.Net.Metrics; m != nil {
 		if r.Net.stageParallel {
 			r.shard.stalls = append(r.shard.stalls, stallRec{node: int32(r.ID), cause: trace.StallVA})
 		} else {
@@ -184,33 +206,105 @@ func (r *Router) vaTry(vc *VC) {
 	}
 }
 
-// selectXY is DefaultVA.Select fused for XY routing with no fault
-// injector (the vaFastXY devirtualization): the single XY candidate
-// port is computed inline — no interface dispatch, no candidate
-// buffer — and the downstream VC scan is unchanged. Decision-identical
-// to the generic path by construction.
-func (r *Router) selectXY(pkt *Packet) (Assign, bool) {
+// memoCurrent reports whether none of the memoized candidate ports has
+// freed a downstream VC since the VC's last fused allocation failed.
+func (r *Router) memoCurrent(vc *VC) bool {
+	return r.Out[vc.memoPort[0]].freeGen == vc.memoGen[0] &&
+		(vc.memoN == 1 || r.Out[vc.memoPort[1]].freeGen == vc.memoGen[1])
+}
+
+// vaFused is DefaultVA.Select devirtualized for every routing kind
+// (the fused path: DefaultVA installed, no fault injector). It derives
+// the candidate ports inline in RouteCandidates' order, draws the same
+// oblivious/adaptive tie-break from the network RNG, and scans the
+// downstream VCs the same way, so decisions and RNG draws are
+// identical to the generic path by construction.
+//
+// A failure is memoized on the VC: the candidate ports, their free
+// generations and whether the tie-break was drawn. Failing means every
+// candidate port's eligible VCs were busy, and a busy VC can only
+// become free through OutputPort.FreeVC, which bumps the generation.
+// So while the snapshot matches (vaTry checks memoCurrent first), the
+// attempt provably fails again and with a tied (all-zero) adaptive
+// ordering; replaying it reduces to redrawing the tie-break, which
+// keeps the RNG stream exact.
+func (r *Router) vaFused(vc *VC) (Assign, bool) {
 	net := r.Net
+	pkt := vc.Pkt
 	dx, dy := int(net.xOf[pkt.Dst]), int(net.yOf[pkt.Dst])
-	var port int
-	switch {
-	case dx == r.X && dy == r.Y:
-		port = Local
-	case dx > r.X:
-		port = East
-	case dx < r.X:
-		port = West
-	case dy > r.Y:
-		port = North
-	default:
-		port = South
-	}
-	out := r.Out[port]
-	lo, hi := r.EligibleOutVCs(port, pkt.Class)
-	for ov := lo; ov < hi; ov++ {
-		if !out.VCs[ov].Busy {
-			return Assign{OutPort: port, OutVC: ov}, true
+	var ports [2]int
+	np := 1
+	drew := false
+	var lo, hi int
+	if dx == r.X && dy == r.Y {
+		ports[0] = Local
+		lo, hi = r.EligibleOutVCs(Local, pkt.Class)
+	} else {
+		lo, hi = net.Cfg.VCRange(pkt.Class)
+		xd, yd := -1, -1 // productive directions per dimension
+		if dx > r.X {
+			xd = East
+		} else if dx < r.X {
+			xd = West
 		}
+		if dy > r.Y {
+			yd = North
+		} else if dy < r.Y {
+			yd = South
+		}
+		switch kind := net.vaKind; {
+		case kind == RoutingXY:
+			ports[0] = xd
+			if xd < 0 {
+				ports[0] = yd
+			}
+		case kind == RoutingYX:
+			ports[0] = yd
+			if yd < 0 {
+				ports[0] = xd
+			}
+		case kind == RoutingWestFirst && xd == West:
+			ports[0] = West
+		case xd < 0:
+			ports[0] = yd
+		case yd < 0:
+			ports[0] = xd
+		default:
+			// Two minimal directions, X first: the oblivious coin or
+			// the adaptive free-VC ordering (west-first past its west
+			// hops is adaptive).
+			ports[0], ports[1], np = xd, yd, 2
+			swap := false
+			if kind == RoutingObliviousMin {
+				drew = true
+				swap = net.Rng.Bool(0.5)
+			} else {
+				f0 := r.Out[xd].FreeDownVCs(lo, hi)
+				f1 := r.Out[yd].FreeDownVCs(lo, hi)
+				swap = f1 > f0
+				if f0 == f1 {
+					drew = true
+					swap = net.Rng.Bool(0.5)
+				}
+			}
+			if swap {
+				ports[0], ports[1] = yd, xd
+			}
+		}
+	}
+	for i := 0; i < np; i++ {
+		out := r.Out[ports[i]]
+		for ov := lo; ov < hi; ov++ {
+			if !out.VCs[ov].Busy {
+				return Assign{OutPort: ports[i], OutVC: ov}, true
+			}
+		}
+	}
+	vc.memoN = uint8(np)
+	vc.memoDraw = drew
+	for i := 0; i < np; i++ {
+		vc.memoPort[i] = uint8(ports[i])
+		vc.memoGen[i] = r.Out[ports[i]].freeGen
 	}
 	return Assign{}, false
 }
@@ -221,7 +315,8 @@ func (r *Router) selectXY(pkt *Packet) (Assign, bool) {
 // winners traverse the switch.
 func (r *Router) sa() {
 	var reqs [NumPorts]*VC
-	want := 0 // bit per requested output port
+	var reqMask [NumPorts]uint // per output port: bit per requesting input
+	want := uint(0)            // bit per requested output port
 	for p := 0; p < NumPorts; p++ {
 		in := r.In[p]
 		if in == nil {
@@ -229,46 +324,41 @@ func (r *Router) sa() {
 		}
 		if vc := r.saPick(in); vc != nil {
 			reqs[p] = vc
+			reqMask[vc.OutPort] |= 1 << p
 			want |= 1 << vc.OutPort
 		}
 	}
-	if want == 0 {
-		return
-	}
-	for o := 0; o < NumPorts; o++ {
-		if want&(1<<o) == 0 {
-			// No stage-1 winner wants this output; the scan below would
-			// provably grant nothing.
-			continue
-		}
+	// Stage 2, outputs in ascending order. Each input requests exactly
+	// one output, so the outputs' arbitrations are independent: the
+	// round-robin winner is the first requesting input at or after the
+	// output's pointer, i.e. the lowest set bit of the request mask
+	// rotated right by the pointer.
+	for ; want != 0; want &= want - 1 {
+		o := bits.TrailingZeros(want)
 		out := r.Out[o] // non-nil: some VC holds a grant to it
 		if out.FFReserved || out.Link.Busy() {
 			continue
 		}
-		p := out.saPtr // always in [0, NumPorts)
-		for k := 0; k < NumPorts; k++ {
-			vc := reqs[p]
-			if vc != nil && vc.OutPort == o {
-				in := r.In[p]
-				r.sendFlit(in, vc)
-				sp := vc.ID + 1
-				if sp == r.nvcs {
-					sp = 0
-				}
-				in.saPtr = sp
-				reqs[p] = nil
-				p++
-				if p == NumPorts {
-					p = 0
-				}
-				out.saPtr = p
-				break
-			}
-			p++
-			if p == NumPorts {
-				p = 0
-			}
+		ptr := out.saPtr // always in [0, NumPorts)
+		m := reqMask[o]
+		rot := (m>>ptr | m<<(NumPorts-ptr)) & (1<<NumPorts - 1)
+		p := ptr + bits.TrailingZeros(rot)
+		if p >= NumPorts {
+			p -= NumPorts
 		}
+		vc := reqs[p]
+		in := r.In[p]
+		r.sendFlit(in, vc)
+		sp := vc.ID + 1
+		if sp == r.nvcs {
+			sp = 0
+		}
+		in.saPtr = sp
+		p++
+		if p == NumPorts {
+			p = 0
+		}
+		out.saPtr = p
 	}
 }
 

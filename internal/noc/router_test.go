@@ -135,7 +135,7 @@ func TestBodyFlitsFollowHeadVC(t *testing.T) {
 	for i := 0; i < n.Cfg.EjectVCsPerClass; i++ {
 		idx := n.NICs[1].EjIndex(0, i)
 		n.NICs[1].Ej[idx].Reserved = false
-		n.Routers[1].Out[Local].VCs[idx].Busy = false
+		n.Routers[1].Out[Local].FreeVC(idx)
 	}
 	for i := 0; i < 100 && !n.Drained(); i++ {
 		n.Step()

@@ -36,6 +36,16 @@ type VC struct {
 	// Free-Flow).
 	occ bool
 
+	// VA failure memo (see Router.vaFused): memoN is the number of
+	// candidate ports the head's last fused allocation tried and failed
+	// on (0 = no memo), memoPort those ports, memoGen (second line)
+	// their free generations at the time, and memoDraw whether the
+	// attempt drew the routing tie-break from the network RNG. Derived
+	// state: sync clears it and checkpoints never carry it.
+	memoN    uint8
+	memoDraw bool
+	memoPort [2]uint8
+
 	ID int
 
 	// Second line.
@@ -51,7 +61,7 @@ type VC struct {
 	// bookkeeping in sync no-ops without it.
 	in *InputPort
 
-	_ [8]byte // pad to 128 (see layout.go size pins)
+	memoGen [2]uint32 // candidate ports' OutputPort.freeGen snapshot
 }
 
 // NewVC returns an idle VC with the given identifier and flit capacity.
@@ -196,12 +206,15 @@ func (v *VC) EnterFF() {
 // sync recomputes this VC's active-set contribution after any state
 // change: the router-level occupancy count that gates stepping the
 // router at all, the VA candidate bit (unallocated head buffered) and
-// the SA candidate bit (allocated packet with flits buffered). Bits are
+// the SA candidate bit (allocated packet with flits buffered). It also
+// drops the VA failure memo, which is only valid for the head it was
+// recorded against. Bits are
 // conservative — the pipeline re-checks full eligibility at visit time
 // — but a VC the pipeline could act on must always be flagged, or the
 // scheduler would skip real work (the activity invariant; see
 // CheckActiveSets).
 func (v *VC) sync() {
+	v.memoN = 0
 	in := v.in
 	if in == nil {
 		return

@@ -194,11 +194,11 @@ func TestSeedHashDeterministic(t *testing.T) {
 func TestSeedHashDistinguishesCoordinates(t *testing.T) {
 	base := NewSeedHash(1).String("seec").Uint64(8).Seed()
 	variants := []uint64{
-		NewSeedHash(2).String("seec").Uint64(8).Seed(),  // base seed
-		NewSeedHash(1).String("mseec").Uint64(8).Seed(), // string field
-		NewSeedHash(1).String("seec").Uint64(4).Seed(),  // numeric field
+		NewSeedHash(2).String("seec").Uint64(8).Seed(),            // base seed
+		NewSeedHash(1).String("mseec").Uint64(8).Seed(),           // string field
+		NewSeedHash(1).String("seec").Uint64(4).Seed(),            // numeric field
 		NewSeedHash(1).String("see").String("c").Uint64(8).Seed(), // split strings must not alias
-		NewSeedHash(1).Uint64(8).String("seec").Seed(),  // order
+		NewSeedHash(1).Uint64(8).String("seec").Seed(),            // order
 	}
 	seen := map[uint64]bool{base: true}
 	for i, v := range variants {

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"path/filepath"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -291,9 +293,10 @@ func (s *Server) fold(rep Replay) []*job {
 			j.resumed = true
 			s.jobs[rec.ID] = j
 			s.order = append(s.order, rec.ID)
-			var n int64
-			if _, err := fmt.Sscanf(rec.ID, "j%d", &n); err == nil && n >= s.nextJob {
-				s.nextJob = n + 1
+			if num, ok := strings.CutPrefix(rec.ID, "j"); ok {
+				if n, err := strconv.ParseInt(num, 10, 64); err == nil && n >= s.nextJob {
+					s.nextJob = n + 1
+				}
 			}
 		case RecRunDone:
 			if j := s.jobs[rec.ID]; j != nil && rec.Run < len(j.runs) {

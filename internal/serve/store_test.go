@@ -93,8 +93,8 @@ func TestStoreRejectsMalformedKeys(t *testing.T) {
 		"ab",
 		"../../wal.log",
 		"../../../wal.log",
-		strings.Repeat("z", 64),                   // right length, not hex
-		strings.ToUpper(testKey),                  // hex but uppercase
+		strings.Repeat("z", 64),                  // right length, not hex
+		strings.ToUpper(testKey),                 // hex but uppercase
 		testKey[:41] + "/../../../../../wal.log", // length 64 with traversal
 	}
 	for _, key := range bad {

@@ -120,8 +120,8 @@ func decodeFrame(line []byte) (Record, bool) {
 	if len(line) < 10 || line[8] != ' ' {
 		return Record{}, false
 	}
-	var want uint32
-	if _, err := fmt.Sscanf(string(line[:8]), "%08x", &want); err != nil {
+	want, ok := parseHex8(line[:8])
+	if !ok {
 		return Record{}, false
 	}
 	payload := line[9:]
@@ -133,6 +133,29 @@ func decodeFrame(line []byte) (Record, bool) {
 		return Record{}, false
 	}
 	return rec, true
+}
+
+// parseHex8 parses a frame's CRC field: exactly eight hex digits,
+// either case, nothing else.
+func parseHex8(b []byte) (uint32, bool) {
+	if len(b) != 8 {
+		return 0, false
+	}
+	var v uint32
+	for _, c := range b {
+		switch {
+		case '0' <= c && c <= '9':
+			c -= '0'
+		case 'a' <= c && c <= 'f':
+			c -= 'a' - 10
+		case 'A' <= c && c <= 'F':
+			c -= 'A' - 10
+		default:
+			return 0, false
+		}
+		v = v<<4 | uint32(c)
+	}
+	return v, true
 }
 
 // countLines counts newline-terminated plus trailing partial lines.

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -125,5 +127,71 @@ func TestWALCorruptMiddle(t *testing.T) {
 	}
 	if rep.Records[0].ID != "j1" {
 		t.Fatalf("surviving record %+v", rep.Records[0])
+	}
+}
+
+// TestWALFramePrefix pins the frame header grammar boot replay
+// accepts: exactly eight hex digits (either case) of the payload's
+// CRC, then one space. Anything else is a broken frame.
+func TestWALFramePrefix(t *testing.T) {
+	payload := `{"kind":"job_done","id":"j1","seq":1}`
+	crc := crc32.Checksum([]byte(payload), walCRC)
+	hex := fmt.Sprintf("%08x", crc)
+	for _, tc := range []struct {
+		prefix string
+		ok     bool
+	}{
+		{hex + " ", true},
+		{strings.ToUpper(hex) + " ", true},
+		{hex[1:] + " ", false},               // seven digits
+		{hex + "0 ", false},                  // nine digits
+		{hex[:7] + "z ", false},              // non-hex digit
+		{"+" + hex[1:] + " ", false},         // sign
+		{" " + hex[1:] + " ", false},         // leading space
+		{"0x" + hex[2:] + " ", false},        // radix prefix
+		{hex + "\t", false},                  // wrong separator
+		{fmt.Sprintf("%08x ", crc^1), false}, // wrong CRC
+	} {
+		rec, ok := decodeFrame([]byte(tc.prefix + payload))
+		if ok != tc.ok {
+			t.Errorf("prefix %q: decoded=%v, want %v", tc.prefix, ok, tc.ok)
+		}
+		if ok && (rec.Kind != RecJobDone || rec.ID != "j1") {
+			t.Errorf("prefix %q: record mangled: %+v", tc.prefix, rec)
+		}
+	}
+}
+
+// TestReplayNextJobID: boot replay continues job numbering past the
+// highest "j<n>" ID in the journal; IDs of any other shape never move
+// it.
+func TestReplayNextJobID(t *testing.T) {
+	dir := t.TempDir()
+	w, _, err := OpenWAL(OSFS{}, filepath.Join(dir, "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := &JobSpec{Rate: 0.1}
+	if err := sp.validate(); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"j7", "j41", "j99x", "x500", "j-3"} {
+		if _, err := w.Append(Record{Kind: RecSubmit, ID: id, Tenant: "t", Spec: sp}, false); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Append(Record{Kind: RecJobDone, ID: id}, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s := newServer(t, Options{Dir: dir, Workers: 1})
+	st, err := s.Submit("", []byte(`{"rates":[0.02],"seed":3}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.ID != "j42" {
+		t.Fatalf("first job after replay got ID %s, want j42", st.ID)
 	}
 }

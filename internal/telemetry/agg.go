@@ -56,15 +56,15 @@ type Aggregator struct {
 	// Gateway (seecd) counters, non-zero only when an internal/serve
 	// instance — or the sweep planner, which shares the cache event
 	// vocabulary — feeds the bus.
-	svcSeen      bool
-	queueDepth   int64
-	cacheHits    int64
-	cacheMisses  int64
-	quarantines  int64
-	walReplays   int64
-	walRecords   int64
-	walResumed   int64
-	walDropped   int64
+	svcSeen     bool
+	queueDepth  int64
+	cacheHits   int64
+	cacheMisses int64
+	quarantines int64
+	walReplays  int64
+	walRecords  int64
+	walResumed  int64
+	walDropped  int64
 
 	// Planner (internal/plan) counters, non-zero only when a planner
 	// feeds the bus.
