@@ -20,20 +20,23 @@ check:
 	./ci.sh
 
 # Step-benchmark record: machine-readable ns/op + allocs/op for the
-# simulator hot path, for diffing across commits.
+# simulator hot path, for diffing across commits. Five samples per
+# benchmark: the record keeps the median, min and max ns/op.
+BENCH = $(GO) test -bench 'Step|Table3Drain|LatencyCurve|RunIdle|WarmupFork|Checkpoint|FigAllPlanned|MapSerial' -benchmem -count 5 -run '^$$' ./...
+
 bench:
-	$(GO) test -bench 'Step|Table3Drain|LatencyCurve|RunIdle|WarmupFork|Checkpoint|FigAllPlanned|MapSerial' -benchmem -run '^$$' ./... | $(GO) run ./cmd/benchjson > BENCH_step.json
+	$(BENCH) | $(GO) run ./cmd/benchjson > BENCH_step.json
 	@cat BENCH_step.json
 
 # Rerun the step benchmarks and diff against the checked-in record
-# without touching it: per-benchmark ns/op and allocs/op deltas.
+# without touching it: per-benchmark median ns/op, ranges and allocs/op.
 benchdiff:
-	$(GO) test -bench 'Step|Table3Drain|LatencyCurve|RunIdle|WarmupFork|Checkpoint|FigAllPlanned|MapSerial' -benchmem -run '^$$' ./... | $(GO) run ./cmd/benchjson -compare BENCH_step.json
+	$(BENCH) | $(GO) run ./cmd/benchjson -compare BENCH_step.json
 
-# benchdiff as a gate: exit non-zero if any benchmark regressed past
-# 10% ns/op (single-run benchmarks are noisy; use a generous margin).
+# benchdiff as a gate: exit non-zero if any benchmark's median ns/op
+# regressed past 10% and its range no longer overlaps the record's.
 benchgate:
-	$(GO) test -bench 'Step|Table3Drain|LatencyCurve|RunIdle|WarmupFork|Checkpoint|FigAllPlanned|MapSerial' -benchmem -run '^$$' ./... | $(GO) run ./cmd/benchjson -compare BENCH_step.json -fail-above 10
+	$(BENCH) | $(GO) run ./cmd/benchjson -compare BENCH_step.json -fail-above 10
 
 # Regenerate the checked-in quick-scale results record.
 figures:

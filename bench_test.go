@@ -326,6 +326,44 @@ func BenchmarkStepSchemes(b *testing.B) {
 	}
 }
 
+// BenchmarkStepDeflect measures one Sim.Step of an 8x8 mesh under the
+// deflection schemes (CHIPPER, MinBD) at BenchmarkStep's three loads.
+// Deflection networks cannot checkpoint, so where BenchmarkStepSchemes
+// rewinds, this benchmark rebuilds and re-warms the same simulation
+// every stepWindow steps (timer stopped) to keep saturated injection
+// queues bounded.
+func BenchmarkStepDeflect(b *testing.B) {
+	const stepWindow = 4096
+	for _, sc := range []seec.Scheme{seec.SchemeCHIPPER, seec.SchemeMinBD} {
+		for _, rate := range []float64{0.02, 0.20, 0.60} {
+			b.Run(fmt.Sprintf("%s/rate=%.2f", sc, rate), func(b *testing.B) {
+				cfg := seec.DefaultConfig()
+				cfg.Scheme = sc
+				cfg.InjectionRate = rate
+				warm := func() *seec.Sim {
+					sim, err := seec.NewSim(cfg)
+					if err != nil {
+						b.Fatal(err)
+					}
+					sim.Run(2000)
+					return sim
+				}
+				sim := warm()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if i > 0 && i%stepWindow == 0 {
+						b.StopTimer()
+						sim = warm()
+						b.StartTimer()
+					}
+					sim.Step()
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkTable3Drain is one Table 3 drain job at the size sweep-cold
 // runs it: a 4x4 SEEC mesh with one VC under minimal-adaptive routing,
 // saturated (rate 0.5) for 4000 cycles until it wedges, then drained

@@ -83,7 +83,7 @@ func (w *worm) step(n *noc.Network) bool {
 		seq := w.popped
 		if w.vc != nil {
 			f := w.vc.Pop()
-			if f.Pkt != w.pkt || f.Seq != seq {
+			if f.Pkt != w.pkt || int(f.Seq) != seq {
 				panic("express: origin VC does not hold the FF packet's flits in order")
 			}
 			if w.inport != nil && w.inport.CreditOut != nil {
@@ -146,7 +146,7 @@ func (w *worm) hop(n *noc.Network, i, seq int) {
 func (w *worm) eject(n *noc.Network, seq int) {
 	dst := w.routers[len(w.routers)-1]
 	n.Routers[dst].Out[noc.Local].ReserveFF()
-	n.NICs[dst].ReceiveFF(noc.Flit{Pkt: w.pkt, Seq: seq}, w.ejIdx)
+	n.NICs[dst].ReceiveFF(noc.NewFlit(w.pkt, seq), w.ejIdx)
 	n.NoteProgress()
 }
 

@@ -51,7 +51,51 @@ func (n *Network) CheckInvariants() error {
 	if err := n.checkMemos(); err != nil {
 		return err
 	}
+	if err := n.checkTailBits(); err != nil {
+		return err
+	}
 	return n.CheckActiveSets()
+}
+
+// checkTailBits audits the tail bit NewFlit fixed at construction
+// against the packet, for every buffered flit and every flit staged on
+// a data link: the pipeline trusts the bit and never reads Pkt.Size.
+func (n *Network) checkTailBits() error {
+	for _, r := range n.Routers {
+		for p := 0; p < NumPorts; p++ {
+			in := r.In[p]
+			if in == nil {
+				continue
+			}
+			for _, vc := range in.VCs {
+				for i := 0; i < vc.Len(); i++ {
+					if err := tailBitErr(vc.At(i)); err != nil {
+						return fmt.Errorf("router %d port %s vc %d flit %d: %w", r.ID, DirName(p), vc.ID, i, err)
+					}
+				}
+			}
+		}
+	}
+	for _, l := range n.dataLinks {
+		if !l.busy {
+			continue
+		}
+		if err := tailBitErr(l.pending.flit); err != nil {
+			return fmt.Errorf("data link %s: %w", l.Name, err)
+		}
+	}
+	return nil
+}
+
+// tailBitErr reports a flit whose tail bit disagrees with Seq == Size-1.
+func tailBitErr(f Flit) error {
+	if f.Pkt == nil {
+		return fmt.Errorf("flit without a packet")
+	}
+	if want := int(f.Seq) == f.Pkt.Size-1; f.IsTail() != want {
+		return fmt.Errorf("tail bit %v on flit %d of a %d-flit packet", f.IsTail(), f.Seq, f.Pkt.Size)
+	}
+	return nil
 }
 
 // checkMemos audits the allocation memos against the decisions they

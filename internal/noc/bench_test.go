@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"seec"
 	"seec/internal/express"
 	"seec/internal/fault"
 	"seec/internal/noc"
@@ -202,7 +203,10 @@ func BenchmarkStepTraced(b *testing.B) {
 // not allocate at all, at idle or at saturation. This pins the
 // "instrumentation is free when off" contract independently of the
 // benchmark record in BENCH_step.json. The SEEC mesh holds the fused
-// adaptive allocation path and its memos to the same bound.
+// adaptive allocation path and its memos to the same bound, and the
+// 16x16 cases hold whole simulations (the synthetic traffic source,
+// link delivery with credit queues that must stay in their inline
+// slots, the SEEC/mSEEC engines) to it.
 func TestStepZeroAllocsUntraced(t *testing.T) {
 	for _, rate := range []float64{0.02, 0.60} {
 		for _, mesh := range []struct {
@@ -217,6 +221,24 @@ func TestStepZeroAllocsUntraced(t *testing.T) {
 				t.Errorf("%s rate=%.2f: Step allocates %.2f allocs/op with tracing disabled, want 0", name, rate, avg)
 			}
 		}
+	}
+	// The real traffic source (traffic.Synthetic) at the run-16x16
+	// benchmark configuration: 16x16, uniform random at 0.05.
+	for _, sc := range []seec.Scheme{seec.SchemeXY, seec.SchemeSEEC, seec.SchemeMSEEC} {
+		cfg := seec.DefaultConfig()
+		cfg.Rows, cfg.Cols = 16, 16
+		cfg.Scheme = sc
+		cfg.Pattern = "uniform_random"
+		cfg.InjectionRate = 0.05
+		sim, err := seec.NewSim(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim.Run(3000)
+		if avg := testing.AllocsPerRun(2000, sim.Step); avg != 0 {
+			t.Errorf("%s 16x16 synthetic: Step allocates %.2f allocs/op with tracing disabled, want 0", sc, avg)
+		}
+		sim.Close()
 	}
 }
 

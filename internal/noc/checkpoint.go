@@ -165,6 +165,23 @@ func RestorePacket(r *checkpoint.Reader) (*Packet, error) {
 	return p, r.Err()
 }
 
+// restoreFlit reads a flit as SaveState writes it: its packet, then Seq
+// as an int. The tail bit is derived by NewFlit, like everywhere else.
+func restoreFlit(r *checkpoint.Reader) (Flit, error) {
+	p, err := RestorePacket(r)
+	if err != nil {
+		return Flit{}, err
+	}
+	seq := r.Int()
+	if err := r.Err(); err != nil {
+		return Flit{}, err
+	}
+	if p == nil {
+		return Flit{}, fmt.Errorf("%w: buffered flit without a packet", checkpoint.ErrCorrupt)
+	}
+	return NewFlit(p, seq), nil
+}
+
 // SaveState serializes the network payload into w (no container
 // framing; Save adds it). It fails with checkpoint.ErrUnsupported when
 // the attached traffic source or scheme has no serialization.
@@ -217,7 +234,7 @@ func (n *Network) SaveState(w *checkpoint.Writer) error {
 				for i := 0; i < vc.n; i++ {
 					f := vc.At(i)
 					SavePacket(w, f.Pkt)
-					w.Int(f.Seq)
+					w.Int(int(f.Seq))
 				}
 			}
 		}
@@ -273,7 +290,7 @@ func (n *Network) SaveState(w *checkpoint.Writer) error {
 	for _, l := range n.activeData {
 		w.Int(dataIdx[l])
 		SavePacket(w, l.pending.flit.Pkt)
-		w.Int(l.pending.flit.Seq)
+		w.Int(int(l.pending.flit.Seq))
 		w.Int(l.pending.vc)
 	}
 	w.Int(len(n.activeCredit))
@@ -399,11 +416,11 @@ func (n *Network) RestoreState(r *checkpoint.Reader) error {
 					vc.buf[i] = Flit{}
 				}
 				for i := 0; i < nf; i++ {
-					fp, err := RestorePacket(r)
+					f, err := restoreFlit(r)
 					if err != nil {
 						return err
 					}
-					vc.buf[i] = Flit{Pkt: fp, Seq: r.Int()}
+					vc.buf[i] = f
 				}
 				vc.occ = false
 				vc.sync()
@@ -496,11 +513,11 @@ func (n *Network) RestoreState(r *checkpoint.Reader) error {
 			return fmt.Errorf("%w: data link index %d of %d", checkpoint.ErrCorrupt, idx, len(n.dataLinks))
 		}
 		l := n.dataLinks[idx]
-		p, err := RestorePacket(r)
+		f, err := restoreFlit(r)
 		if err != nil {
 			return err
 		}
-		l.pending = linkPayload{flit: Flit{Pkt: p, Seq: r.Int()}, vc: r.Int()}
+		l.pending = linkPayload{flit: f, vc: r.Int()}
 		l.busy = true
 		n.activeData = append(n.activeData, l)
 	}

@@ -29,7 +29,11 @@ import "unsafe"
 // portID(r, d)*nvcs + v. The per-router []*VC view table (Router.vcAt,
 // a slice of the vcPtrs slab) is indexed by d*nvcs+v — the same bit
 // index the router's vaSet uses — with nil entries where the mesh edge
-// has no port. Views never escape to the heap on the hot path: the
+// has no port. Flit arrival and SA index a port's own run of the VC
+// slab (InputPort.vcs) instead, and SA finds the ports with candidates
+// through Router.saWords, a view of the five adjacent saSet words.
+// Credit links hold their pending credits in inline slots, so no slab
+// backs them. Views never escape to the heap on the hot path: the
 // pipeline passes slab pointers around but stores them only in other
 // slab-resident structs (VC.in, reqs on the stack, active lists
 // pre-sized in New).
@@ -50,9 +54,8 @@ type layout struct {
 	ejPtrs    []*EjVC // view table for NIC.Ej
 	dataLks   []DataLink
 	creditLks []CreditLink
-	credits   []Credit // pre-sized pending storage for credit links
 
-	vcOff, flitOff, outVCOff, wordOff, dataOff, creditOff, creditQOff int
+	vcOff, flitOff, outVCOff, wordOff, dataOff, creditOff int
 }
 
 // Line-multiple size pins for the slab element types. A padding field
@@ -80,11 +83,6 @@ const (
 )
 
 func roundUp(v, to int) int { return (v + to - 1) / to * to }
-
-// creditQCap is the pre-sized pending capacity carved per credit link;
-// growth beyond it falls back to the heap (append), which steady state
-// never needs.
-const creditQCap = 8
 
 // allocLayout sizes every slab for cfg. Carving must consume exactly
 // what was counted; New checks the cursors at the end.
@@ -131,7 +129,6 @@ func allocLayout(cfg *Config) layout {
 		ejPtrs:    make([]*EjVC, nodes*ejN),
 		dataLks:   make([]DataLink, numData),
 		creditLks: make([]CreditLink, numCredit),
-		credits:   make([]Credit, numCredit*creditQCap),
 	}
 }
 
@@ -172,21 +169,23 @@ func (l *layout) takeBits(n int) bitset {
 // called at every router boundary.
 func (l *layout) padWords() { l.wordOff = roundUp(l.wordOff, 8) }
 
-// takeDataLink carves one data link, initialized like NewDataLink.
-func (l *layout) takeDataLink(name string, sink func(Flit, int)) *DataLink {
+// takeDataLink carves one data link delivering into the input port in,
+// or into nic's ejection side when in is nil.
+func (l *layout) takeDataLink(name string, in *InputPort, nic *NIC) *DataLink {
 	d := &l.dataLks[l.dataOff]
 	l.dataOff++
-	*d = DataLink{Name: name, sink: sink, lid: -1}
+	*d = DataLink{Name: name, in: in, nic: nic, lid: -1}
 	return d
 }
 
-// takeCreditLink carves one credit link with pre-sized pending storage.
-func (l *layout) takeCreditLink(apply func(Credit)) *CreditLink {
+// takeCreditLink carves one credit link applying credits to the output
+// port out, or to nic's local mirror when out is nil. Its pending queue
+// starts as a view of its own inline slots.
+func (l *layout) takeCreditLink(out *OutputPort, nic *NIC) *CreditLink {
 	c := &l.creditLks[l.creditOff]
 	l.creditOff++
-	q := l.credits[l.creditQOff : l.creditQOff : l.creditQOff+creditQCap]
-	l.creditQOff += creditQCap
-	*c = CreditLink{apply: apply, pending: q}
+	*c = CreditLink{out: out, nic: nic}
+	c.pending = c.slots[:0]
 	return c
 }
 

@@ -8,19 +8,31 @@ type linkPayload struct {
 }
 
 // DataLink is a unidirectional one-cycle link. A payload written during
-// phase B of cycle t is delivered (via the sink closure) during phase A
+// phase B of cycle t is delivered to the link's endpoint during phase A
 // of cycle t+1. At most one flit may be sent per cycle; a second send in
 // the same cycle is a simulator bug and panics.
 type DataLink struct {
-	Name    string
+	// First line: everything Send and deliver touch.
 	pending linkPayload
 	busy    bool
-	sink    func(Flit, int)
+
+	// The receiving endpoint: a router input port, or (for a router's
+	// local output) the NIC's ejection side. Exactly one is set;
+	// delivery calls its method directly.
+	in  *InputPort
+	nic *NIC
 
 	// net, when set, receives the link into its active delivery list on
 	// Send; Step then only visits links that actually carry something.
 	// busy doubles as the registration guard (one Send per cycle).
 	net *Network
+
+	// lid is the link's id in the fault injector's registry, or -1 for
+	// links exempt from faults (NIC wiring, or no injector installed).
+	lid int
+
+	// Second line.
+	Name string
 
 	// sendSh/sinkSh are the shards owning the sending and receiving end
 	// when sharded execution is enabled (nil otherwise). Send stages
@@ -29,16 +41,7 @@ type DataLink struct {
 	sendSh *shardState
 	sinkSh *shardState
 
-	// lid is the link's id in the fault injector's registry, or -1 for
-	// links exempt from faults (NIC wiring, or no injector installed).
-	lid int
-
-	_ [40]byte // pad to 128 (see layout.go size pins)
-}
-
-// NewDataLink returns a link delivering into sink.
-func NewDataLink(name string, sink func(f Flit, vc int)) *DataLink {
-	return &DataLink{Name: name, sink: sink, lid: -1}
+	_ [32]byte // pad to 128 (see layout.go size pins)
 }
 
 // Send stages a flit for delivery next cycle.
@@ -60,7 +63,7 @@ func (l *DataLink) Send(f Flit, vc int) {
 // Busy reports whether a flit was already sent this cycle.
 func (l *DataLink) Busy() bool { return l.busy }
 
-// deliver flushes the staged flit into the sink (phase A).
+// deliver flushes the staged flit into the endpoint (phase A).
 func (l *DataLink) deliver() {
 	if !l.busy {
 		return
@@ -71,7 +74,11 @@ func (l *DataLink) deliver() {
 	if l.lid >= 0 && l.net != nil && l.net.Faults != nil {
 		l.net.applyLinkFaults(l, p.flit)
 	}
-	l.sink(p.flit, p.vc)
+	if l.in != nil {
+		l.in.receiveFlit(p.flit, p.vc)
+	} else {
+		l.nic.receiveEject(p.flit, p.vc)
+	}
 }
 
 // Credit is a flow-control token returned upstream: Count buffer slots
@@ -87,25 +94,34 @@ type Credit struct {
 // links, several credits may be staged per cycle (e.g. multiple ejection
 // VCs consumed by a NIC in the same cycle).
 type CreditLink struct {
+	// pending holds the credits staged this cycle. It starts as a view
+	// of slots, which cover a router input port's usual cycle (one
+	// switch traversal plus a Free-Flow pop), so staging touches only
+	// the link's own lines. A link that stages more (a NIC consuming
+	// several packets at once, several worms leaving one port) appends
+	// past the slots once and then reuses the grown array.
 	pending []Credit
-	apply   func(Credit)
 
 	// net, when set, receives the link into its active delivery list on
 	// the first Send of a cycle (len(pending) going 0→1 guards against
 	// double registration).
 	net *Network
 
+	// The receiving endpoint: a router output port's credit mirror, or
+	// (for a router's local input) the NIC's local mirror. Exactly one
+	// is set; delivery calls its method directly.
+	out *OutputPort
+
+	// slots[0] completes the first line, which then holds everything a
+	// one-credit cycle touches.
+	slots [2]Credit
+	nic   *NIC
+
 	// sendSh/sinkSh: see DataLink.
 	sendSh *shardState
 	sinkSh *shardState
 
-	_ [72]byte // pad to 128 (see layout.go size pins)
-}
-
-// NewCreditLink returns a credit link applying credits via apply. The
-// pending slice is pre-sized so steady-state sends never reallocate.
-func NewCreditLink(apply func(Credit)) *CreditLink {
-	return &CreditLink{apply: apply, pending: make([]Credit, 0, 8)}
+	_ [16]byte // pad to 128 (see layout.go size pins)
 }
 
 // Send stages a credit for delivery next cycle. Count may be zero when
@@ -124,8 +140,14 @@ func (l *CreditLink) Send(c Credit) {
 
 // deliver flushes staged credits (phase A).
 func (l *CreditLink) deliver() {
-	for _, c := range l.pending {
-		l.apply(c)
+	if out := l.out; out != nil {
+		for _, c := range l.pending {
+			out.applyCredit(c)
+		}
+	} else {
+		for _, c := range l.pending {
+			l.nic.applyCredit(c)
+		}
 	}
 	l.pending = l.pending[:0]
 }

@@ -112,7 +112,7 @@ func (n *Network) SeedPacket(r, p, v int, spec PacketSpec) *Packet {
 	}
 	flits := make([]Flit, spec.Size)
 	for i := range flits {
-		flits[i] = Flit{Pkt: pkt, Seq: i}
+		flits[i] = NewFlit(pkt, i)
 	}
 	n.PlacePacket(r, p, v, flits)
 	n.InFlight++

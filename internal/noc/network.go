@@ -213,6 +213,7 @@ func New(cfg Config, opts ...Option) (*Network, error) {
 	for id, r := range n.Routers {
 		r.nvcs = nvcs
 		r.vaSet = lay.takeBits(NumPorts * nvcs)
+		saBase := lay.wordOff
 		r.vcAt = lay.vcPtrs[id*NumPorts*nvcs : (id+1)*NumPorts*nvcs : (id+1)*NumPorts*nvcs]
 		for d := 0; d < NumPorts; d++ {
 			if d != Local && cfg.Neighbor(id, d) < 0 {
@@ -221,10 +222,9 @@ func New(cfg Config, opts ...Option) (*Network, error) {
 			}
 			in := &lay.inPorts[portID(id, d)]
 			*in = InputPort{Router: r, Dir: d, VCs: r.vcAt[d*nvcs : (d+1)*nvcs : (d+1)*nvcs],
-				saSet: lay.takeBits(nvcs), vaBase: d * nvcs}
-			vcs := lay.takeVCs(nvcs)
+				saSet: lay.takeBits(nvcs), vaBase: d * nvcs, vcs: lay.takeVCs(nvcs)}
 			for v := range in.VCs {
-				vc := &vcs[v]
+				vc := &in.vcs[v]
 				*vc = VC{ID: v, Depth: cfg.VCDepth, buf: lay.takeFlits(cfg.VCDepth),
 					OutPort: -1, OutVC: -1, in: in}
 				in.VCs[v] = vc
@@ -248,6 +248,10 @@ func New(cfg Config, opts ...Option) (*Network, error) {
 			}
 			r.Out[d] = out
 		}
+		if nvcs <= 64 {
+			// One word per saSet: the five are adjacent in the slab.
+			r.saWords = (*[NumPorts]uint64)(lay.words[saBase : saBase+NumPorts])
+		}
 		lay.padFlits()
 		lay.padWords()
 	}
@@ -260,8 +264,8 @@ func New(cfg Config, opts ...Option) (*Network, error) {
 			}
 			peer := n.Routers[nb].In[Opposite(d)]
 			out := r.Out[d]
-			out.Link = lay.takeDataLink(fmt.Sprintf("r%d.%s->r%d", id, DirName(d), nb), peer.receiveFlit)
-			peer.CreditOut = lay.takeCreditLink(out.applyCredit)
+			out.Link = lay.takeDataLink(fmt.Sprintf("r%d.%s->r%d", id, DirName(d), nb), peer, nil)
+			peer.CreditOut = lay.takeCreditLink(out, nil)
 			n.dataLinks = append(n.dataLinks, out.Link)
 			n.creditLinks = append(n.creditLinks, peer.CreditOut)
 		}
@@ -286,10 +290,10 @@ func New(cfg Config, opts ...Option) (*Network, error) {
 			*ej = EjVC{Class: i / cfg.EjectVCsPerClass}
 			nic.Ej[i] = ej
 		}
-		nic.InjLink = lay.takeDataLink(fmt.Sprintf("nic%d->r%d", id, id), r.In[Local].receiveFlit)
-		r.In[Local].CreditOut = lay.takeCreditLink(nic.applyCredit)
-		r.Out[Local].Link = lay.takeDataLink(fmt.Sprintf("r%d->nic%d", id, id), nic.receiveEject)
-		nic.EjCreditOut = lay.takeCreditLink(r.Out[Local].applyCredit)
+		nic.InjLink = lay.takeDataLink(fmt.Sprintf("nic%d->r%d", id, id), r.In[Local], nil)
+		r.In[Local].CreditOut = lay.takeCreditLink(nil, nic)
+		r.Out[Local].Link = lay.takeDataLink(fmt.Sprintf("r%d->nic%d", id, id), nil, nic)
+		nic.EjCreditOut = lay.takeCreditLink(r.Out[Local], nil)
 		n.dataLinks = append(n.dataLinks, nic.InjLink, r.Out[Local].Link)
 		n.creditLinks = append(n.creditLinks, r.In[Local].CreditOut, nic.EjCreditOut)
 		n.NICs[id] = nic

@@ -42,24 +42,32 @@ func TestXYUniformRandomFlows(t *testing.T) {
 
 // TestDrainToCompletion checks that after injection stops every packet
 // eventually leaves the network (no leaks, no phantom in-flight count).
+// 65 VCs per port exceed one bitset word, so SA stage 1 scans the
+// ports' multi-word saSets instead of the router's single-word view.
 func TestDrainToCompletion(t *testing.T) {
-	cfg := testConfig(4, 4)
-	cfg.Routing = noc.RoutingXY
-	src := traffic.NewSynthetic(4, 4, traffic.UniformRandom, 0.05, 11)
-	n, err := noc.New(cfg, noc.WithTraffic(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.Run(3000)
-	src.Pause()
-	for i := 0; i < 5000 && !n.Drained(); i++ {
-		n.Step()
-	}
-	if !n.Drained() {
-		t.Fatalf("network failed to drain: %d packets in flight", n.InFlight)
-	}
-	if n.Collector.ReceivedPackets == 0 {
-		t.Fatal("no packets delivered")
+	for _, vcs := range []int{4, 65} {
+		cfg := testConfig(4, 4)
+		cfg.Routing = noc.RoutingXY
+		cfg.VCsPerVNet = vcs
+		src := traffic.NewSynthetic(4, 4, traffic.UniformRandom, 0.05, 11)
+		n, err := noc.New(cfg, noc.WithTraffic(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.Run(3000)
+		if err := n.CheckInvariants(); err != nil {
+			t.Fatalf("vcs=%d: %v", vcs, err)
+		}
+		src.Pause()
+		for i := 0; i < 5000 && !n.Drained(); i++ {
+			n.Step()
+		}
+		if !n.Drained() {
+			t.Fatalf("vcs=%d: network failed to drain: %d packets in flight", vcs, n.InFlight)
+		}
+		if n.Collector.ReceivedPackets == 0 {
+			t.Fatalf("vcs=%d: no packets delivered", vcs)
+		}
 	}
 }
 

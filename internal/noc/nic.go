@@ -213,7 +213,7 @@ func (n *NIC) inject() {
 	if m.Credits <= 0 || n.InjLink.Busy() {
 		return
 	}
-	f := Flit{Pkt: n.cur, Seq: n.curFlit}
+	f := NewFlit(n.cur, n.curFlit)
 	m.Credits--
 	n.InjLink.Send(f, n.curVC)
 	if n.Net.stageParallel {
@@ -292,8 +292,8 @@ func (n *NIC) FreeLocalVC(v int) {
 	n.injBlocked = false
 }
 
-// applyCredit is the sink for credits returned by the router's local
-// input port.
+// applyCredit is the endpoint for credits returned by the router's
+// local input port.
 func (n *NIC) applyCredit(c Credit) {
 	n.LocalMirror[c.VC].Credits += c.Count
 	if c.Free {
@@ -301,7 +301,7 @@ func (n *NIC) applyCredit(c Credit) {
 	}
 }
 
-// receiveEject is the data-link sink for the router's local output
+// receiveEject is the data-link endpoint for the router's local output
 // port: a flit arriving at an ejection VC through regular (credited)
 // ejection.
 func (n *NIC) receiveEject(f Flit, vcID int) {

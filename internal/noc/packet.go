@@ -45,17 +45,26 @@ func (p *Packet) String() string {
 
 // Flit is one link-width slice of a packet. Seq 0 is the head; Seq ==
 // Size-1 is the tail. Single-flit packets are simultaneously head and
-// tail.
+// tail. The tail bit is fixed at construction (NewFlit), so telling a
+// tail from a body flit never loads the Packet.
 type Flit struct {
-	Pkt *Packet
-	Seq int
+	Pkt  *Packet
+	Seq  int32
+	tail bool
+}
+
+// NewFlit returns flit seq of pkt, with the tail bit derived from the
+// packet's size. Build flits only through it: a Flit literal leaves the
+// tail bit unset, which CheckInvariants reports.
+func NewFlit(pkt *Packet, seq int) Flit {
+	return Flit{Pkt: pkt, Seq: int32(seq), tail: seq == pkt.Size-1}
 }
 
 // IsHead reports whether f is the packet's head flit.
 func (f Flit) IsHead() bool { return f.Seq == 0 }
 
 // IsTail reports whether f is the packet's tail flit.
-func (f Flit) IsTail() bool { return f.Pkt != nil && f.Seq == f.Pkt.Size-1 }
+func (f Flit) IsTail() bool { return f.tail }
 
 // Valid reports whether the flit carries a packet.
 func (f Flit) Valid() bool { return f.Pkt != nil }

@@ -14,23 +14,31 @@ type OutVC struct {
 // InputPort is one router input: a set of VCs plus the credit channel
 // back to the upstream sender.
 type InputPort struct {
+	// First line: what flit arrival, SA stage 1 and the schemes' VC
+	// scans read.
 	Router *Router
-	Dir    int
-	VCs    []*VC
-	// CreditOut returns credits to whoever feeds this port (the
-	// neighboring router's output port, or the local NIC).
-	CreditOut *CreditLink
+
+	// vcs is the port's run of the network's VC slab (vcs[i] is
+	// VCs[i]); the pipeline indexes it directly rather than loading a
+	// pointer from the view table.
+	vcs []VC
+	VCs []*VC
 
 	saPtr int // round-robin pointer for SA stage 1, always in [0, len(VCs))
 
+	// Second line: what VC.sync and switch traversal also touch.
 	// saSet flags VCs that may hold a sendable flit (allocated, non-FF,
 	// non-empty); SA stage 1 scans only these. Maintained by VC.sync.
 	saSet bitset
 	// vaBase is this port's bit offset (Dir * TotalVCs) into the
 	// router-level vaSet.
 	vaBase int
+	// CreditOut returns credits to whoever feeds this port (the
+	// neighboring router's output port, or the local NIC).
+	CreditOut *CreditLink
+	Dir       int
 
-	_ [40]byte // pad to 128 (see layout.go size pins)
+	_ [16]byte // pad to 128 (see layout.go size pins)
 }
 
 // FreeVCs counts Idle VCs in the half-open index range [lo, hi).
@@ -44,10 +52,10 @@ func (p *InputPort) FreeVCs(lo, hi int) int {
 	return n
 }
 
-// receiveFlit is the data-link sink for this port: buffer write plus VC
-// activation on head arrival.
+// receiveFlit is the data-link endpoint for this port: buffer write
+// plus VC activation on head arrival.
 func (p *InputPort) receiveFlit(f Flit, vcID int) {
-	vc := p.VCs[vcID]
+	vc := &p.vcs[vcID]
 	net := p.Router.Net
 	if f.IsHead() {
 		vc.Activate(f.Pkt, net.Cycle)
@@ -139,7 +147,7 @@ func (o *OutputPort) FreeVC(v int) {
 	o.freeGen++
 }
 
-// applyCredit is the credit-link sink for this port.
+// applyCredit is the credit-link endpoint for this port.
 func (o *OutputPort) applyCredit(c Credit) {
 	o.VCs[c.VC].Credits += c.Count
 	if c.Free {

@@ -94,7 +94,12 @@ type Router struct {
 	// a parallel stage runs.
 	shard *shardState
 
-	_ [8]byte // pad to 192 (see layout.go size pins)
+	// saWords views the five input ports' saSet words, indexed by
+	// direction, when every saSet is one word (TotalVCs <= 64; nil
+	// otherwise). They are adjacent in the bitset slab, so SA stage 1
+	// reads one line to find the ports with candidates. A missing
+	// port's word is carved too and stays zero.
+	saWords *[NumPorts]uint64
 }
 
 // EligibleOutVCs returns the downstream VC index range a packet of the
@@ -313,16 +318,31 @@ func (r *Router) vaFused(vc *VC) (Assign, bool) {
 // requesting VC per input port (round-robin over the port's saSet),
 // stage 2 picks one input port per output port (round-robin), then
 // winners traverse the switch.
+//
+// Neither stage tests whether an output link is already busy: it never
+// is here. Only this router's stage 2 sends on its output links, once
+// per output per cycle; every link delivered (and went idle) before any
+// router stepped; and Free-Flow claims a link through FFReserved, not
+// through the link. DataLink.Send panics on a second send in one cycle,
+// so a violation cannot pass silently.
 func (r *Router) sa() {
 	var reqs [NumPorts]*VC
 	var reqMask [NumPorts]uint // per output port: bit per requesting input
 	want := uint(0)            // bit per requested output port
+	words := r.saWords
 	for p := 0; p < NumPorts; p++ {
-		in := r.In[p]
-		if in == nil {
-			continue
+		var vc *VC
+		if words != nil {
+			// A port with an empty saSet has no candidate: skip it
+			// without loading the port (missing ports' words are 0).
+			if words[p] == 0 {
+				continue
+			}
+			vc = r.saPickWord(r.In[p], words[p])
+		} else if in := r.In[p]; in != nil {
+			vc = r.saPick(in)
 		}
-		if vc := r.saPick(in); vc != nil {
+		if vc != nil {
 			reqs[p] = vc
 			reqMask[vc.OutPort] |= 1 << p
 			want |= 1 << vc.OutPort
@@ -336,7 +356,7 @@ func (r *Router) sa() {
 	for ; want != 0; want &= want - 1 {
 		o := bits.TrailingZeros(want)
 		out := r.Out[o] // non-nil: some VC holds a grant to it
-		if out.FFReserved || out.Link.Busy() {
+		if out.FFReserved {
 			continue
 		}
 		ptr := out.saPtr // always in [0, NumPorts)
@@ -362,42 +382,41 @@ func (r *Router) sa() {
 	}
 }
 
-// saPick runs SA stage 1 for one input port: the first VC at or after
-// the round-robin pointer that passes the full sendability check wins.
-// Candidates come from the port's saSet; each flagged VC is re-checked
-// exactly as the full scan did, so the winner is bit-identical.
+// saPick runs SA stage 1 for one input port whose saSet spans several
+// words: the first VC at or after the round-robin pointer that passes
+// the full sendability check wins. Candidates come from the port's
+// saSet; each flagged VC is re-checked exactly as the full scan did, so
+// the winner is bit-identical.
 func (r *Router) saPick(in *InputPort) *VC {
-	base := in.saPtr // always in [0, len(VCs))
-	if len(in.saSet) == 1 {
-		// Single-word set: snapshot iteration, same argument as va().
-		// Stage 1 mutates nothing, so the snapshot cannot even go stale.
-		w := in.saSet[0]
-		if w == 0 {
-			return nil
-		}
-		hi := w & (^uint64(0) << uint(base))
-		for m := hi; m != 0; m &= m - 1 {
-			if vc := r.saCheck(in.VCs[bits.TrailingZeros64(m)]); vc != nil {
-				return vc
-			}
-		}
-		for m := w &^ hi; m != 0; m &= m - 1 {
-			if vc := r.saCheck(in.VCs[bits.TrailingZeros64(m)]); vc != nil {
-				return vc
-			}
-		}
-		return nil
-	}
 	if in.saSet.empty() {
 		return nil
 	}
+	base := in.saPtr // always in [0, len(VCs))
 	for idx := in.saSet.next(base); idx >= 0; idx = in.saSet.next(idx + 1) {
-		if vc := r.saCheck(in.VCs[idx]); vc != nil {
+		if vc := r.saCheck(&in.vcs[idx]); vc != nil {
 			return vc
 		}
 	}
 	for idx := in.saSet.next(0); idx >= 0 && idx < base; idx = in.saSet.next(idx + 1) {
-		if vc := r.saCheck(in.VCs[idx]); vc != nil {
+		if vc := r.saCheck(&in.vcs[idx]); vc != nil {
+			return vc
+		}
+	}
+	return nil
+}
+
+// saPickWord is saPick for a single-word saSet w (non-zero), iterating
+// a snapshot with bit tricks, same argument as va(). Stage 1 mutates
+// nothing, so the snapshot cannot even go stale.
+func (r *Router) saPickWord(in *InputPort, w uint64) *VC {
+	hi := w & (^uint64(0) << uint(in.saPtr))
+	for m := hi; m != 0; m &= m - 1 {
+		if vc := r.saCheck(&in.vcs[bits.TrailingZeros64(m)]); vc != nil {
+			return vc
+		}
+	}
+	for m := w &^ hi; m != 0; m &= m - 1 {
+		if vc := r.saCheck(&in.vcs[bits.TrailingZeros64(m)]); vc != nil {
 			return vc
 		}
 	}
@@ -405,13 +424,14 @@ func (r *Router) saPick(in *InputPort) *VC {
 }
 
 // saCheck re-checks full SA stage-1 eligibility for one flagged VC (the
-// bit is conservative) and returns it if sendable this cycle.
+// bit is conservative) and returns it if sendable this cycle. The output
+// link is never busy here (see sa).
 func (r *Router) saCheck(vc *VC) *VC {
 	if vc.State != VCActive || vc.FFMode || vc.Empty() || vc.OutVC < 0 {
 		return nil
 	}
 	out := r.Out[vc.OutPort]
-	if out.FFReserved || out.Link.Busy() || out.VCs[vc.OutVC].Credits <= 0 {
+	if out.FFReserved || out.VCs[vc.OutVC].Credits <= 0 {
 		if net := r.Net; net.Metrics != nil || net.Tracer != nil {
 			r.noteSAStall(vc, out)
 		}
@@ -421,8 +441,8 @@ func (r *Router) saCheck(vc *VC) *VC {
 }
 
 // noteSAStall classifies and records a failed SA check: out of
-// downstream credits vs. output link taken (by another winner or a
-// Free-Flow lookahead). Only called when instrumentation is installed.
+// downstream credits vs. output link taken by a Free-Flow lookahead.
+// Only called when instrumentation is installed.
 func (r *Router) noteSAStall(vc *VC, out *OutputPort) {
 	cause := trace.StallLink
 	kind := trace.EvLinkStall

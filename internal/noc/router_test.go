@@ -127,7 +127,7 @@ func TestBodyFlitsFollowHeadVC(t *testing.T) {
 		t.Fatal("packet not parked whole at the blocked hop")
 	}
 	for i := 0; i < vc.Len(); i++ {
-		if vc.At(i).Seq != i {
+		if int(vc.At(i).Seq) != i {
 			t.Fatalf("flit order broken at %d", i)
 		}
 	}

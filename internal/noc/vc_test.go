@@ -14,11 +14,11 @@ func TestVCFIFOOrder(t *testing.T) {
 	p := mkPkt(1, 5)
 	vc.Activate(p, 0)
 	for i := 0; i < 5; i++ {
-		vc.Push(Flit{Pkt: p, Seq: i})
+		vc.Push(NewFlit(p, i))
 	}
 	for i := 0; i < 5; i++ {
 		f := vc.Pop()
-		if f.Seq != i {
+		if int(f.Seq) != i {
 			t.Fatalf("popped seq %d want %d", f.Seq, i)
 		}
 	}
@@ -35,11 +35,11 @@ func TestVCWraparound(t *testing.T) {
 	seqIn, seqOut := 0, 0
 	for round := 0; round < 10; round++ {
 		for !vc.Full() {
-			vc.Push(Flit{Pkt: p, Seq: seqIn})
+			vc.Push(NewFlit(p, seqIn))
 			seqIn++
 		}
 		for !vc.Empty() {
-			if f := vc.Pop(); f.Seq != seqOut {
+			if f := vc.Pop(); int(f.Seq) != seqOut {
 				t.Fatalf("wrap: got %d want %d", f.Seq, seqOut)
 			}
 			seqOut++
@@ -56,9 +56,9 @@ func TestVCOverflowPanics(t *testing.T) {
 	vc := NewVC(0, 2)
 	p := mkPkt(1, 3)
 	vc.Activate(p, 0)
-	vc.Push(Flit{Pkt: p, Seq: 0})
-	vc.Push(Flit{Pkt: p, Seq: 1})
-	vc.Push(Flit{Pkt: p, Seq: 2})
+	vc.Push(NewFlit(p, 0))
+	vc.Push(NewFlit(p, 1))
+	vc.Push(NewFlit(p, 2))
 }
 
 func TestVCPopEmptyPanics(t *testing.T) {
@@ -90,7 +90,7 @@ func TestVCReleaseWithFlitsPanics(t *testing.T) {
 	vc := NewVC(0, 5)
 	p := mkPkt(1, 2)
 	vc.Activate(p, 0)
-	vc.Push(Flit{Pkt: p, Seq: 0})
+	vc.Push(NewFlit(p, 0))
 	vc.Release()
 }
 
@@ -101,12 +101,12 @@ func TestVCHasWholePacket(t *testing.T) {
 	if vc.HasWholePacket() {
 		t.Fatal("no flits yet")
 	}
-	vc.Push(Flit{Pkt: p, Seq: 0})
-	vc.Push(Flit{Pkt: p, Seq: 1})
+	vc.Push(NewFlit(p, 0))
+	vc.Push(NewFlit(p, 1))
 	if vc.HasWholePacket() {
 		t.Fatal("missing tail")
 	}
-	vc.Push(Flit{Pkt: p, Seq: 2})
+	vc.Push(NewFlit(p, 2))
 	if !vc.HasWholePacket() {
 		t.Fatal("whole packet present")
 	}
@@ -120,7 +120,7 @@ func TestVCBlockedFor(t *testing.T) {
 	vc := NewVC(0, 5)
 	p := mkPkt(1, 1)
 	vc.Activate(p, 100)
-	vc.Push(Flit{Pkt: p, Seq: 0})
+	vc.Push(NewFlit(p, 0))
 	if vc.BlockedFor(150) != 50 {
 		t.Fatalf("blocked %d want 50", vc.BlockedFor(150))
 	}
@@ -136,17 +136,17 @@ func TestVCBlockedFor(t *testing.T) {
 
 func TestFlitKinds(t *testing.T) {
 	p := mkPkt(1, 3)
-	if !(Flit{Pkt: p, Seq: 0}).IsHead() || (Flit{Pkt: p, Seq: 0}).IsTail() {
+	if !NewFlit(p, 0).IsHead() || NewFlit(p, 0).IsTail() {
 		t.Fatal("seq 0 of 3 is head only")
 	}
-	if (Flit{Pkt: p, Seq: 1}).IsHead() || (Flit{Pkt: p, Seq: 1}).IsTail() {
+	if NewFlit(p, 1).IsHead() || NewFlit(p, 1).IsTail() {
 		t.Fatal("seq 1 of 3 is body")
 	}
-	if !(Flit{Pkt: p, Seq: 2}).IsTail() {
+	if !NewFlit(p, 2).IsTail() {
 		t.Fatal("seq 2 of 3 is tail")
 	}
 	single := mkPkt(2, 1)
-	f := Flit{Pkt: single, Seq: 0}
+	f := NewFlit(single, 0)
 	if !f.IsHead() || !f.IsTail() {
 		t.Fatal("single-flit packet is head and tail")
 	}
@@ -163,10 +163,10 @@ func TestVCAtRandomAccess(t *testing.T) {
 		p := mkPkt(1, n)
 		vc.Activate(p, 0)
 		for i := 0; i < n; i++ {
-			vc.Push(Flit{Pkt: p, Seq: i})
+			vc.Push(NewFlit(p, i))
 		}
 		for i := 0; i < n; i++ {
-			if vc.At(i).Seq != i {
+			if int(vc.At(i).Seq) != i {
 				return false
 			}
 		}

@@ -95,7 +95,7 @@ func TestTFCTokenSteering(t *testing.T) {
 	vc := noc.NewVC(0, 5)
 	p := &noc.Packet{Dst: 15, Class: 0, Size: 1}
 	vc.Activate(p, 0)
-	vc.Push(noc.Flit{Pkt: p, Seq: 0})
+	vc.Push(noc.NewFlit(p, 0))
 	a, ok := tfc.Policy{}.Select(r, r.In[noc.Local], vc)
 	if !ok {
 		t.Fatal("no assignment despite free North VCs")

@@ -214,15 +214,14 @@ func (s *Synthetic) pickSize(r *rng.Rand) int {
 
 // Generate implements noc.TrafficSource.
 func (s *Synthetic) Generate(cycle int64, node int) []noc.PacketSpec {
-	out := s.scratch[node][:0]
 	if s.paused || s.Rate <= 0 {
-		return out
+		return nil
 	}
 	r := s.rngs[node]
 	if !r.Bool(s.Rate) {
-		return out
+		return nil
 	}
-	out = append(out, noc.PacketSpec{
+	out := append(s.scratch[node][:0], noc.PacketSpec{
 		Dst:   s.Dest(node, r),
 		Class: s.Class,
 		Size:  s.pickSize(r),
