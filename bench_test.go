@@ -312,7 +312,6 @@ func BenchmarkStepSchemes(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					if i > 0 && i%stepWindow == 0 {
 						b.StopTimer()
-						sim.Close()
 						if sim, err = seec.NewSimFromCheckpoint(cfg, bytes.NewReader(ck.Bytes())); err != nil {
 							b.Fatal(err)
 						}
@@ -320,7 +319,6 @@ func BenchmarkStepSchemes(b *testing.B) {
 					}
 					sim.Step()
 				}
-				sim.Close()
 			})
 		}
 	}

@@ -18,14 +18,10 @@ import (
 const DefaultCheckpointEvery int64 = 5000
 
 // CheckpointHash identifies the configuration a Sim-level checkpoint
-// binds to: the canonical JSON encoding of the Config with the shard
-// count zeroed. Shards is purely a speed knob with byte-identical
-// results, so a checkpoint written at any shard count restores at any
-// other; every semantic field participates in the hash, and restoring
-// under a different configuration fails with
-// checkpoint.ErrConfigMismatch.
+// binds to: the canonical JSON encoding of the Config. Every semantic
+// field participates in the hash, and restoring under a different
+// configuration fails with checkpoint.ErrConfigMismatch.
 func (c Config) CheckpointHash() uint64 {
-	c.Shards = 0
 	c.Instrument = nil
 	b, err := json.Marshal(c)
 	if err != nil {
@@ -128,8 +124,7 @@ func NewSimFromCheckpointFile(cfg Config, path string) (*Sim, error) {
 // version, config hash, payload length and CRC — before the Sim is
 // even constructed, so a truncated, corrupted or mismatched stream
 // fails with a typed error and no partially-restored Sim escapes.
-// cfg.Shards may differ from the saving run's value; everything else
-// must match the saving Config.
+// cfg must match the saving Config.
 func NewSimFromCheckpoint(cfg Config, r io.Reader) (*Sim, error) {
 	cr, err := checkpoint.NewReader(r, cfg.CheckpointHash())
 	if err != nil {
@@ -140,7 +135,6 @@ func NewSimFromCheckpoint(cfg Config, r io.Reader) (*Sim, error) {
 		return nil, err
 	}
 	if err := s.Net.RestoreState(cr); err != nil {
-		s.Close()
 		return nil, err
 	}
 	return s, nil

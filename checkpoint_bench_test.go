@@ -81,7 +81,6 @@ func warmSim(b *testing.B) *seec.Sim {
 // to an in-memory buffer, and reports the checkpoint size.
 func BenchmarkCheckpointSave(b *testing.B) {
 	s := warmSim(b)
-	defer s.Close()
 	var buf bytes.Buffer
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -101,16 +100,13 @@ func BenchmarkCheckpointRestore(b *testing.B) {
 	if err := s.SaveCheckpoint(&buf); err != nil {
 		b.Fatal(err)
 	}
-	s.Close()
 	snap := buf.Bytes()
 	cfg := warmupForkCfg()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rs, err := seec.NewSimFromCheckpoint(cfg, bytes.NewReader(snap))
-		if err != nil {
+		if _, err := seec.NewSimFromCheckpoint(cfg, bytes.NewReader(snap)); err != nil {
 			b.Fatal(err)
 		}
-		rs.Close()
 	}
 	b.ReportMetric(float64(len(snap)), "ckpt-bytes")
 }

@@ -58,7 +58,6 @@ func TestCheckpointFixtureRestore(t *testing.T) {
 				}
 				t.Fatalf("fixture restore failed with untyped error: %v", err)
 			}
-			defer rs.Close()
 			if got := rs.Cycle(); got != savedCycle {
 				t.Fatalf("fixture resumed at cycle %d, saved at %d", got, savedCycle)
 			}
@@ -67,7 +66,6 @@ func TestCheckpointFixtureRestore(t *testing.T) {
 			if err != nil {
 				t.Fatalf("NewSim: %v", err)
 			}
-			defer ref.Close()
 			refRes, refSnap := finish(ref)
 			gotRes, gotSnap := finish(rs)
 			if !reflect.DeepEqual(refRes, gotRes) {

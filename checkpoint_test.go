@@ -19,7 +19,7 @@ import (
 
 // checkpointCfg is the standard configuration of the resume-identity
 // matrix: the default 8x8 mesh at a moderate load, sized so the full
-// scheme x pattern x fault x shard sweep stays test-suite friendly.
+// scheme x pattern x fault sweep stays test-suite friendly.
 func checkpointCfg(scheme seec.Scheme, pattern, faults string) seec.Config {
 	cfg := seec.DefaultConfig()
 	cfg.Scheme = scheme
@@ -31,6 +31,14 @@ func checkpointCfg(scheme seec.Scheme, pattern, faults string) seec.Config {
 	return cfg
 }
 
+// checkpointableSchemes is every scheme that runs on the credit-flow
+// network and can therefore checkpoint: SchemeNone plus the
+// creditFlowSchemes list (integration_test.go). CHIPPER and MinBD run
+// on the deflection core, which has no checkpoint support.
+func checkpointableSchemes() []seec.Scheme {
+	return append([]seec.Scheme{seec.SchemeNone}, creditFlowSchemes()...)
+}
+
 // saveAt runs cfg from scratch to the given absolute cycle and returns
 // the checkpoint bytes taken there.
 func saveAt(t *testing.T, cfg seec.Config, cycle int64) []byte {
@@ -39,7 +47,6 @@ func saveAt(t *testing.T, cfg seec.Config, cycle int64) []byte {
 	if err != nil {
 		t.Fatalf("NewSim: %v", err)
 	}
-	defer s.Close()
 	s.Run(cycle)
 	var buf bytes.Buffer
 	if err := s.SaveCheckpoint(&buf); err != nil {
@@ -64,75 +71,59 @@ func finish(s *seec.Sim) (seec.Result, []byte) {
 // requireResumeIdentity is the acceptance contract of the checkpoint
 // layer: save at mid-run, restore, run to completion — byte-identical
 // to the uninterrupted run at every level the simulator exposes
-// (Result, Collector, network snapshot). The restore side runs both
-// serially and with 4 shards from the same blob, which also proves
-// checkpoints are shard-count-portable.
-func requireResumeIdentity(t *testing.T, cfg seec.Config, saveShards int) {
+// (Result, Collector, network snapshot).
+func requireResumeIdentity(t *testing.T, cfg seec.Config) {
 	t.Helper()
-	saveCfg := cfg
-	saveCfg.Shards = saveShards
 	mid := cfg.Warmup + cfg.SimCycles/2
-	blob := saveAt(t, saveCfg, mid)
+	blob := saveAt(t, cfg, mid)
 
-	ref, err := seec.NewSim(saveCfg)
+	ref, err := seec.NewSim(cfg)
 	if err != nil {
 		t.Fatalf("NewSim: %v", err)
 	}
-	defer ref.Close()
 	refRes, refSnap := finish(ref)
 
-	for _, restoreShards := range []int{0, 4} {
-		resCfg := cfg
-		resCfg.Shards = restoreShards
-		rs, err := seec.NewSimFromCheckpoint(resCfg, bytes.NewReader(blob))
-		if err != nil {
-			t.Fatalf("restore (shards=%d): %v", restoreShards, err)
-		}
-		if rs.Cycle() != mid {
-			t.Fatalf("restore (shards=%d): resumed at cycle %d, saved at %d", restoreShards, rs.Cycle(), mid)
-		}
-		gotRes, gotSnap := finish(rs)
-		// Shards is a speed knob, not a result parameter; scrub it from
-		// the echoed Config like the sharded-identity tests do.
-		a, b := refRes, gotRes
-		a.Config.Shards, b.Config.Shards = 0, 0
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("restore (shards=%d): Result differs\nuninterrupted: %+v\nresumed:       %+v", restoreShards, a, b)
-		}
-		if !reflect.DeepEqual(ref.Collector(), rs.Collector()) {
-			t.Errorf("restore (shards=%d): Collector state differs", restoreShards)
-		}
-		if !bytes.Equal(refSnap, gotSnap) {
-			t.Errorf("restore (shards=%d): final network snapshot differs\nuninterrupted:\n%s\nresumed:\n%s",
-				restoreShards, refSnap, gotSnap)
-		}
-		rs.Close()
+	rs, err := seec.NewSimFromCheckpoint(cfg, bytes.NewReader(blob))
+	if err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	if rs.Cycle() != mid {
+		t.Fatalf("restore: resumed at cycle %d, saved at %d", rs.Cycle(), mid)
+	}
+	gotRes, gotSnap := finish(rs)
+	if !reflect.DeepEqual(refRes, gotRes) {
+		t.Errorf("Result differs\nuninterrupted: %+v\nresumed:       %+v", refRes, gotRes)
+	}
+	if !reflect.DeepEqual(ref.Collector(), rs.Collector()) {
+		t.Errorf("Collector state differs")
+	}
+	if !bytes.Equal(refSnap, gotSnap) {
+		t.Errorf("final network snapshot differs\nuninterrupted:\n%s\nresumed:\n%s", refSnap, gotSnap)
 	}
 }
 
 // TestResumeIdentity is the differential matrix behind the checkpoint
-// layer's acceptance contract: every credit-flow scheme, across traffic
-// patterns, with and without a fault spec, saved from serial and
-// sharded runs and restored into serial and 4-shard runs.
+// layer's acceptance contract: every checkpointable scheme, across
+// traffic patterns, with and without a fault spec. The subtests keep
+// their established names: "save0" is the fault-free leg and
+// "save4/faults" the faulted one (the digit once named the saving
+// run's shard count).
 func TestResumeIdentity(t *testing.T) {
 	patterns := []string{"uniform_random", "transpose", "bit_complement"}
 	if testing.Short() {
 		patterns = patterns[:1]
 	}
-	i := 0
-	for _, scheme := range shardableSchemes() {
+	for _, scheme := range checkpointableSchemes() {
 		for _, pattern := range patterns {
 			for _, faults := range []string{"", "link:0.001,router:1@2000,corrupt:1e-4"} {
-				saveShards := []int{0, 4}[i%2]
-				i++
-				name := fmt.Sprintf("%s/%s/save%d", scheme, pattern, saveShards)
+				name := fmt.Sprintf("%s/%s/save0", scheme, pattern)
 				if faults != "" {
-					name += "/faults"
+					name = fmt.Sprintf("%s/%s/save4/faults", scheme, pattern)
 				}
 				cfg := checkpointCfg(scheme, pattern, faults)
 				t.Run(name, func(t *testing.T) {
 					t.Parallel()
-					requireResumeIdentity(t, cfg, saveShards)
+					requireResumeIdentity(t, cfg)
 				})
 			}
 		}
@@ -148,23 +139,18 @@ func TestCheckpointLockstep(t *testing.T) {
 	cases := []struct {
 		name   string
 		faults string
-		shards int
 	}{
-		{"serial", "", 0},
-		{"serial_faults", "link:0.001,router:1@2000,corrupt:1e-4", 0},
-		{"shards4", "", 4},
-		{"shards4_faults", "link:0.001,router:1@2000,corrupt:1e-4", 4},
+		{"serial", ""},
+		{"serial_faults", "link:0.001,router:1@2000,corrupt:1e-4"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			cfg := checkpointCfg(seec.SchemeSEEC, "uniform_random", tc.faults)
-			cfg.Shards = tc.shards
 			s, err := seec.NewSim(cfg)
 			if err != nil {
 				t.Fatalf("NewSim: %v", err)
 			}
-			defer s.Close()
 			s.Run(cfg.Warmup + 300)
 			var buf bytes.Buffer
 			if err := s.SaveCheckpoint(&buf); err != nil {
@@ -174,7 +160,6 @@ func TestCheckpointLockstep(t *testing.T) {
 			if err != nil {
 				t.Fatalf("restore: %v", err)
 			}
-			defer r.Close()
 			var want, got bytes.Buffer
 			for i := 0; i <= lockstepCycles; i++ {
 				want.Reset()
@@ -256,7 +241,6 @@ func TestCheckpointCorruption(t *testing.T) {
 			damaged := tc.mutate(blob)
 			s, err := seec.NewSimFromCheckpoint(cfg, bytes.NewReader(damaged))
 			if s != nil {
-				s.Close()
 				t.Fatalf("restore of %s checkpoint returned a Sim", tc.name)
 			}
 			if !errors.Is(err, tc.want) {
@@ -270,7 +254,6 @@ func TestCheckpointCorruption(t *testing.T) {
 		other.InjectionRate = 0.20
 		s, err := seec.NewSimFromCheckpoint(other, bytes.NewReader(blob))
 		if s != nil {
-			s.Close()
 			t.Fatal("restore under a different config returned a Sim")
 		}
 		if !errors.Is(err, checkpoint.ErrConfigMismatch) {
@@ -286,7 +269,6 @@ func TestCheckpointCorruption(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewSim: %v", err)
 		}
-		defer s.Close()
 		s.Run(450)
 		var netBlob bytes.Buffer
 		if err := s.Net.Save(&netBlob); err != nil {
@@ -322,7 +304,7 @@ func FuzzCheckpointRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, schemeB, patternB, rateB uint8, stopB uint16, faulted bool) {
 		cfg := seec.DefaultConfig()
 		cfg.Rows, cfg.Cols = 4, 4
-		schemes := shardableSchemes()
+		schemes := checkpointableSchemes()
 		cfg.Scheme = schemes[int(schemeB)%len(schemes)]
 		cfg.Pattern = patterns[int(patternB)%len(patterns)]
 		cfg.InjectionRate = float64(rateB%128) / 512 // [0, 0.25)
@@ -338,14 +320,12 @@ func FuzzCheckpointRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("NewSim: %v", err)
 		}
-		defer ref.Close()
 		refRes, refSnap := finish(ref)
 
 		rs, err := seec.NewSimFromCheckpoint(cfg, bytes.NewReader(blob))
 		if err != nil {
 			t.Fatalf("restore at cycle %d: %v", stop, err)
 		}
-		defer rs.Close()
 		gotRes, gotSnap := finish(rs)
 		if !reflect.DeepEqual(refRes, gotRes) {
 			t.Errorf("Result differs after restore at cycle %d\nuninterrupted: %+v\nresumed:       %+v", stop, refRes, gotRes)
@@ -580,7 +560,6 @@ func TestRunnerRetryResume(t *testing.T) {
 			if err != nil {
 				return seec.Result{}, err
 			}
-			defer s.Close()
 			s.Run(900)
 			if err := s.SaveCheckpointFile(path); err != nil {
 				return seec.Result{}, err
@@ -599,7 +578,7 @@ func TestRunnerRetryResume(t *testing.T) {
 		t.Fatalf("job ran %d times, want 2", attempts)
 	}
 	// The checkpoint paths are operational, not semantic; scrub them
-	// from the echoed Config like the sharded tests scrub Shards.
+	// from the echoed Config.
 	resumed := out[0]
 	resumed.Config.ResumePath, resumed.Config.CheckpointPath = "", ""
 	if !reflect.DeepEqual(ref, resumed) {

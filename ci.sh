@@ -18,17 +18,11 @@ if [ -n "$unformatted" ]; then
 fi
 go test -timeout 30m ./...
 # GOMAXPROCS=4 so the race pass sees real parallelism even on 1-CPU CI
-# boxes: the slab layout's false-sharing and staging races only exist
-# when shard workers actually run concurrently.
+# boxes: the runner and planner worker pools, the seecd gateway workers
+# and the telemetry bus run goroutines concurrently, and their races
+# only show when those goroutines actually overlap. (A single
+# simulation steps on one goroutine.)
 GOMAXPROCS=4 go test -race -short -timeout 30m ./...
-# Sharded-execution gate: the serial-vs-sharded bit-identity matrix and
-# the stage-composition stress test run under the race detector at full
-# (non-short) size — cross-shard data races are exactly what -short
-# cycle counts might miss. Pinned to GOMAXPROCS=4: single-CPU processes
-# delegate sharded steps to the serial path (shard.go), so on a 1-CPU
-# CI box an unpinned run would never schedule the worker pool the race
-# detector is here to watch.
-GOMAXPROCS=4 go test -race -run 'TestShardedIdentity|TestShardedStepRace|TestShardedLockstep' -timeout 30m . ./internal/noc
 # Compile-and-smoke the step benchmarks (one iteration, no -run match):
 # a broken benchmark otherwise only surfaces when someone profiles.
 go test -bench . -benchtime 1x -run XXX ./internal/noc
@@ -68,9 +62,8 @@ cmp "$PLANCACHE/run1.out" "$PLANCACHE/run2.out" || {
 rm -rf "$PLANCACHE"
 # Fuzz smoke: a few seconds per fuzzer over the parsers and invariants
 # that take arbitrary input (fault specs, histograms, traffic
-# destinations), plus the shard count fuzzed against serial output.
-# Regressions found here land in testdata/ corpora.
-go test -fuzz FuzzShardedIdentity -fuzztime 5s -run XXX .
+# destinations) and over checkpoint round trips. Regressions found
+# here land in testdata/ corpora.
 go test -fuzz FuzzCheckpointRoundTrip -fuzztime 10s -run XXX .
 go test -fuzz FuzzFaultSpec -fuzztime 10s -run XXX ./internal/fault
 go test -fuzz FuzzJobSpec -fuzztime 10s -run XXX ./internal/serve

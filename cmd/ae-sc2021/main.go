@@ -42,6 +42,15 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
 
+	sizes := []int{8}
+	switch *mesh {
+	case "8x8":
+	case "both":
+		sizes = append(sizes, 16)
+	default:
+		fmt.Fprintf(os.Stderr, "ae-sc2021: -mesh %q: want 8x8 or both\n", *mesh)
+		os.Exit(2)
+	}
 	if !*planOn && (*cacheDir != "" || *noReuse || *warmupShare) {
 		fmt.Fprintln(os.Stderr, "ae-sc2021: -cache-dir, -no-reuse and -warmup-share need the planner; drop -plan=false")
 		os.Exit(2)
@@ -75,10 +84,6 @@ func main() {
 		}()
 	}
 
-	sizes := []int{8}
-	if *mesh == "both" {
-		sizes = append(sizes, 16)
-	}
 	schemes := []seec.Scheme{seec.SchemeWestFirst, seec.SchemeEscape,
 		seec.SchemeSPIN, seec.SchemeSWAP, seec.SchemeDRAIN,
 		seec.SchemeSEEC, seec.SchemeMSEEC}

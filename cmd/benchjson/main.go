@@ -42,8 +42,8 @@ import (
 
 // result summarizes the samples of one benchmark. GOMAXPROCS is the
 // per-benchmark value go test encodes as the name's trailing "-N"
-// (absent when it was 1) — benchmarks like BenchmarkStepSharded tune
-// it per run, so a single process-global number would be wrong.
+// (absent when it was 1) — `go test -cpu 1,2` runs one benchmark at
+// several values, so a single process-global number would be wrong.
 // Records written before samples were kept have no n and no range; a
 // missing range reads as the single value NsOp.
 type result struct {

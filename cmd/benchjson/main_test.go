@@ -16,7 +16,7 @@ cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
 BenchmarkStep/rate=0.20-2         	   25000	     46100 ns/op	       3 B/op	       0 allocs/op
 BenchmarkStep/rate=0.20-2         	   26000	     41200 ns/op	       3 B/op	       0 allocs/op
 BenchmarkStep/rate=0.20-2         	   24000	     44000 ns/op	       5 B/op	       1 allocs/op
-BenchmarkStepSharded/K=4-2        	    1000	    900000 ns/op
+BenchmarkStepTraced/rate=0.60-2   	    1000	    900000 ns/op
 PASS
 ok  	seec/internal/noc	12.3s
 pkg: seec
@@ -58,8 +58,8 @@ func TestParseKeepsEverySample(t *testing.T) {
 	if cold.N != 1 || cold.GOMAXPROCS != 1 || cold.NsOp != 4762793069 || cold.NsOpMin != cold.NsOpMax {
 		t.Errorf("single sample without a procs suffix: %+v", cold)
 	}
-	if sh := doc.Benchmarks["seec/internal/noc.BenchmarkStepSharded/K=4"]; sh.GOMAXPROCS != 2 || sh.N != 1 {
-		t.Errorf("sharded entry %+v", sh)
+	if tr := doc.Benchmarks["seec/internal/noc.BenchmarkStepTraced/rate=0.60"]; tr.GOMAXPROCS != 2 || tr.N != 1 {
+		t.Errorf("single-sample entry %+v", tr)
 	}
 }
 

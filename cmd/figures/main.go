@@ -30,7 +30,6 @@ func main() {
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned text")
 	chart := flag.Bool("chart", false, "also draw latency-curve figures (8, 12, 13) as ASCII charts")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "simulations to run concurrently (output is identical at any value)")
-	shards := flag.Int("shards", 0, "intra-run shards per simulation; 0 = auto (GOMAXPROCS/-j), 1 = serial (output is identical at any value)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	tracePath := flag.String("trace", "", "per-run Chrome trace_event JSON files based on this path (forces -j 1)")
@@ -53,8 +52,6 @@ func main() {
 	switch {
 	case *jobs < 0:
 		usage("-j %d: worker count must be non-negative", *jobs)
-	case *shards < 0:
-		usage("-shards %d: shard count must be non-negative", *shards)
 	case *jobTimeout < 0:
 		usage("-job-timeout %v: must be non-negative", *jobTimeout)
 	case *maxFailures < 0:
@@ -179,33 +176,15 @@ func main() {
 		}
 	}
 
-	// Intra-run shard budget: N concurrent jobs at K shards each should
-	// keep N*K at or under GOMAXPROCS. Computed after instrumentation may
-	// have forced -j 1, so single-file runs get the whole machine.
-	// Sharded output is byte-identical to serial, so this only changes
-	// speed.
-	sc.Shards = *shards
-	if sc.Shards == 0 {
-		workers := sc.Workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		sc.Shards = runtime.GOMAXPROCS(0) / workers
-		if sc.Shards < 1 {
-			sc.Shards = 1
-		}
-	}
-
 	// The sweep planner: constructed after the scale is final so its
-	// worker pool, shard budget and telemetry wiring match the cells it
-	// replaces. Scale.planner() ignores it while file-producing
-	// instrumentation is attached (cache hits execute nothing, which
-	// would drop trace artifacts).
+	// worker pool and telemetry wiring match the cells it replaces.
+	// Scale.planner() ignores it while file-producing instrumentation
+	// is attached (cache hits execute nothing, which would drop trace
+	// artifacts).
 	var planner *plan.Planner
 	if *planOn {
 		po := plan.Options{
 			Workers:       sc.Workers,
-			Shards:        sc.Shards,
 			JobTimeout:    sc.JobTimeout,
 			MaxFailures:   sc.MaxFailures,
 			WarmupShare:   sc.WarmupShare,

@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 
 	"seec"
@@ -35,7 +36,6 @@ func main() {
 		txns      = flag.Int64("txns", 8000, "transactions to complete (application mode)")
 		dlCheck   = flag.Bool("deadlock-check", false, "report whether the run wedged (no progress for 5000 cycles) and, if so, print the stall diagnosis")
 		satSearch = flag.Bool("saturation", false, "search for the saturation throughput instead of a single run")
-		shards    = flag.Int("shards", 1, "intra-run shard count for parallel cycle execution; results are byte-identical at any value (credit-flow schemes only)")
 		faults    = flag.String("faults", "", `fault-injection spec, e.g. "link:0.001,router:2@5000,corrupt:1e-5" (synthetic credit-flow schemes only)`)
 
 		ckptOut   = flag.String("checkpoint-out", "", "save the full simulation state to this file periodically and at run end (synthetic credit-flow runs only)")
@@ -56,8 +56,8 @@ func main() {
 	)
 	flag.Parse()
 
-	var rows, cols int
-	if _, err := fmt.Sscanf(strings.ToLower(*topology), "%dx%d", &rows, &cols); err != nil {
+	rows, cols, err := parseTopology(*topology)
+	if err != nil {
 		usage("bad -topology %q: %v", *topology, err)
 	}
 
@@ -83,8 +83,6 @@ func main() {
 		usage("-metrics-window %d: must be non-negative", *metricsWin)
 	case *watchdogWin < 0:
 		usage("-watchdog %d: the stall threshold must be non-negative", *watchdogWin)
-	case *shards < 0:
-		usage("-shards %d: shard count must be non-negative", *shards)
 	case *ckptEvery < 0:
 		usage("-checkpoint-every %d: must be non-negative", *ckptEvery)
 	case *stopCI < 0:
@@ -103,12 +101,6 @@ func main() {
 		switch seec.Scheme(*scheme) {
 		case seec.SchemeCHIPPER, seec.SchemeMinBD:
 			usage("checkpoint and CI flags are not supported on deflection scheme %s", *scheme)
-		}
-	}
-	if *shards > 1 {
-		switch seec.Scheme(*scheme) {
-		case seec.SchemeCHIPPER, seec.SchemeMinBD:
-			usage("-shards %d: sharded execution supports credit-flow schemes only, not %s", *shards, *scheme)
 		}
 	}
 	if *faults != "" {
@@ -135,7 +127,6 @@ func main() {
 	cfg.Warmup = *warmup
 	cfg.Seed = *seed
 	cfg.Faults = *faults
-	cfg.Shards = *shards
 	cfg.StopCI = *stopCI
 	cfg.CheckpointPath = *ckptOut
 	cfg.CheckpointEvery = *ckptEvery
@@ -234,6 +225,24 @@ func main() {
 			}
 		}
 	}
+}
+
+// parseTopology parses a mesh shape written RxC: two unsigned decimal
+// numbers joined by one 'x' or 'X', and nothing else.
+func parseTopology(s string) (rows, cols int, err error) {
+	r, c, ok := strings.Cut(strings.ToLower(s), "x")
+	if !ok {
+		return 0, 0, fmt.Errorf("want RxC, e.g. 8x8")
+	}
+	rv, err := strconv.ParseUint(r, 10, 16)
+	if err != nil {
+		return 0, 0, err
+	}
+	cv, err := strconv.ParseUint(c, 10, 16)
+	if err != nil {
+		return 0, 0, err
+	}
+	return int(rv), int(cv), nil
 }
 
 func fail(err error) {

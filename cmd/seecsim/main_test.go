@@ -49,6 +49,11 @@ func TestUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-topology", "8"},
 		{"-topology", "1x8"},
+		{"-topology", "8x8x9"},
+		{"-topology", "8x8junk"},
+		{"-topology", "4x4 "},
+		{"-topology", "+8x8"},
+		{"-topology", "x8"},
 		{"-vcs-per-vnet", "0"},
 		{"-injectionrate", "-0.1"},
 		{"-injectionrate", "1.5"},

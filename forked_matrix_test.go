@@ -1,7 +1,6 @@
 package seec_test
 
 import (
-	"context"
 	"errors"
 	"reflect"
 	"testing"
@@ -78,43 +77,6 @@ func TestWarmupForkIdentityMatrix(t *testing.T) {
 							ref, res[0])
 					}
 				})
-			}
-		}
-	}
-}
-
-// TestWarmupForkShardedIdentity pins the sharded leg: forking from a
-// warm state with intra-run sharding enabled produces the same bytes
-// as the serial fork and as independent sharded runs of the base —
-// the planner copies Scale.Shards into every family base, so a
-// shard-dependent fork would silently skew shared sweeps.
-func TestWarmupForkShardedIdentity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("several full runs; skipped in -short")
-	}
-	for _, scheme := range []seec.Scheme{seec.SchemeSEEC, seec.SchemeMSEEC} {
-		cfg := matrixCfg(scheme, "uniform_random", "")
-		forks := []seec.Fork{{}, {Rate: 0.05}, {Rate: 0.20}}
-		serial, err := seec.RunSyntheticForkedCtx(context.Background(), cfg, forks, 1)
-		if err != nil {
-			t.Fatalf("%s serial: %v", scheme, err)
-		}
-		cfg.Shards = 4
-		sharded, err := seec.RunSyntheticForkedCtx(context.Background(), cfg, forks, 1)
-		if err != nil {
-			t.Fatalf("%s sharded: %v", scheme, err)
-		}
-		if len(serial) != len(sharded) {
-			t.Fatalf("%s: %d serial vs %d sharded results", scheme, len(serial), len(sharded))
-		}
-		for i := range serial {
-			// The echoed Config records the shard count, so compare the
-			// measurements, not the echo.
-			a, b := serial[i], sharded[i]
-			a.Config.Shards, b.Config.Shards = 0, 0
-			if !reflect.DeepEqual(a, b) {
-				t.Errorf("%s fork %d: sharded fork differs from serial\nserial:  %+v\nsharded: %+v",
-					scheme, i, a, b)
 			}
 		}
 	}

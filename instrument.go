@@ -71,7 +71,6 @@ func (o InstrumentOptions) Hook() func(*Sim) func() {
 		man.Config = s.Cfg
 		man.Seed = s.Cfg.Seed
 		man.Note = o.Note
-		man.Shards = s.Cfg.Shards
 		if fi := s.Faults; fi != nil {
 			man.FaultSpec = fi.Spec().String()
 			man.FaultSeed = fi.Seed()

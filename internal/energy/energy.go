@@ -43,15 +43,6 @@ func (m *Meter) AddDataHop() {
 	m.cycleEnergy++
 }
 
-// AddDataHops records n data-flit link traversals in one call (the
-// sharded step merges per-shard hop counts). Per-cycle energies are
-// small dyadic rationals, so the batched float addition is bit-exact
-// against n individual AddDataHop calls.
-func (m *Meter) AddDataHops(n int64) {
-	m.DataHops += n
-	m.cycleEnergy += float64(n)
-}
-
 // SkipIdle accounts k cycles in which provably no energy event
 // occurred: equivalent to k zero-energy Tick calls. Idle fast-forward
 // uses it; cycleEnergy must be zero (it always is between Steps).

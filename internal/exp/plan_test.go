@@ -12,7 +12,6 @@ import (
 func withPlanner(t *testing.T, s Scale, o plan.Options) (Scale, *plan.Planner) {
 	t.Helper()
 	o.Workers = s.Workers
-	o.Shards = s.Shards
 	o.WarmupShare = s.WarmupShare
 	p, err := plan.New(o)
 	if err != nil {

@@ -99,7 +99,6 @@ func fig8SharedCells(s Scale, schemes []seec.Scheme, pats []string) []string {
 		// compromise for both ends of the curve.
 		cfg.InjectionRate = s.Rates[len(s.Rates)/2]
 		cfg.Seed = cfg.SweepSeed("warmup-share")
-		cfg.Shards = s.Shards
 		// Forks run serially: the cross-curve fan-out above already fills
 		// the worker pool.
 		results, err := seec.RunSyntheticForkedCtx(ctx, cfg, forks, 1)

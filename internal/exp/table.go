@@ -124,11 +124,10 @@ type Scale struct {
 	// renders as an error cell. 0 leaves cells unbounded.
 	JobTimeout time.Duration
 
-	// Shards is copied into every launched simulation's Config (see
-	// seec.Config.Shards): intra-run parallelism on top of the
-	// cross-job Workers pool. Sharded runs are byte-identical to serial
-	// ones, so the rendered tables are unchanged at any value; cap
-	// Workers * Shards near GOMAXPROCS to avoid oversubscription.
+	// Shards has no effect.
+	//
+	// Deprecated: every simulation runs on one goroutine. Its only user
+	// is the perfbench module, which sets it to 1.
 	Shards int
 
 	// MaxFailures arms the sweep circuit breaker: after this many
@@ -218,12 +217,6 @@ func (s Scale) runSyntheticDirect(ctx context.Context, cfg seec.Config) (seec.Re
 	cfg.Instrument = s.Instrument
 	cfg.Telemetry = s.RunEvents
 	cfg.HeartbeatEvery = s.HeartbeatEvery
-	cfg.Shards = s.Shards
-	if cfg.Scheme == seec.SchemeCHIPPER || cfg.Scheme == seec.SchemeMinBD {
-		// The deflection network has no sharded path; run it serially
-		// rather than failing the whole sweep.
-		cfg.Shards = 0
-	}
 	return seec.RunSyntheticCtx(ctx, cfg)
 }
 
@@ -246,7 +239,6 @@ func (s Scale) runApplicationDirect(ctx context.Context, cfg seec.Config, app st
 	cfg.Instrument = s.Instrument
 	cfg.Telemetry = s.RunEvents
 	cfg.HeartbeatEvery = s.HeartbeatEvery
-	cfg.Shards = s.Shards
 	return seec.RunApplicationCtx(ctx, cfg, app, txns, maxCycles)
 }
 

@@ -288,50 +288,6 @@ func (n *Network) CheckActiveSets() error {
 			}
 		}
 	}
-	// Sharded execution: between cycles every per-shard staging buffer
-	// must be empty (mergeShards flushed them), the shard ranges must
-	// partition the mesh exactly, and every router/NIC/link must point
-	// at its shard.
-	if n.shards != nil {
-		covered := 0
-		for i, sh := range n.shards {
-			if sh.lo != covered {
-				return fmt.Errorf("shard %d: range starts at %d, expected %d", i, sh.lo, covered)
-			}
-			covered = sh.hi
-			if len(sh.dataInj)+len(sh.dataRtr) != 0 ||
-				len(sh.creditRtr)+len(sh.creditCons) != 0 ||
-				sh.data != nil || sh.credit != nil {
-				return fmt.Errorf("shard %d: unmerged staged link sends between cycles", i)
-			}
-			if len(sh.records) != 0 || len(sh.freePkts) != 0 ||
-				len(sh.stalls) != 0 || len(sh.linkFlits) != 0 {
-				return fmt.Errorf("shard %d: unflushed staged records between cycles", i)
-			}
-			if sh.bufferReads != 0 || sh.bufferWrites != 0 || sh.dataHops != 0 ||
-				sh.inFlightDelta != 0 || sh.progress || sh.consumed {
-				return fmt.Errorf("shard %d: unmerged counter deltas between cycles", i)
-			}
-			for node := sh.lo; node < sh.hi; node++ {
-				if n.Routers[node].shard != sh || n.NICs[node].shard != sh {
-					return fmt.Errorf("shard %d: node %d not wired to its shard", i, node)
-				}
-			}
-		}
-		if covered != len(n.Routers) {
-			return fmt.Errorf("shards cover %d of %d nodes", covered, len(n.Routers))
-		}
-		for _, l := range n.dataLinks {
-			if l.sendSh == nil || l.sinkSh == nil {
-				return fmt.Errorf("data link %s: missing shard wiring", l.Name)
-			}
-		}
-		for _, l := range n.creditLinks {
-			if l.sendSh == nil || l.sinkSh == nil {
-				return fmt.Errorf("credit link: missing shard wiring")
-			}
-		}
-	}
 	return nil
 }
 

@@ -2,7 +2,6 @@ package noc_test
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"seec"
@@ -22,7 +21,7 @@ type benchSource struct {
 	net     *noc.Network
 	rate    float64
 	streams []*rng.Rand
-	scratch [][]noc.PacketSpec // per-node: the sharded generation stage runs nodes concurrently
+	scratch [][]noc.PacketSpec // per node, like traffic.Synthetic
 }
 
 func newBenchSource(rate float64, seed uint64, nodes int) *benchSource {
@@ -60,38 +59,24 @@ func (s *benchSource) Generate(cycle int64, node int) []noc.PacketSpec {
 
 func (s *benchSource) Deliver(int64, *noc.Packet) bool { return true }
 
-// ConcurrentGenerate/ConcurrentDeliver opt the source into the sharded
-// step's parallel generation and consumption stages: each node draws
-// from its own PRNG stream into its own scratch slice and reads only
-// its own NIC's queue state.
-func (s *benchSource) ConcurrentGenerate() bool { return true }
-func (s *benchSource) ConcurrentDeliver() bool  { return true }
-
-// benchNetwork builds the steady-state 8x8 mesh the Step benchmarks
-// and the zero-alloc gate share.
+// benchNetwork builds the steady-state 8x8 XY mesh the Step
+// benchmarks and the zero-alloc gate share.
 func benchNetwork(tb testing.TB, rate float64) *noc.Network {
-	return benchNetworkMesh(tb, 8, 8, rate, 0)
-}
-
-// benchNetworkMesh is benchNetwork with the mesh size and shard count
-// exposed, for the sharded-step benchmarks.
-func benchNetworkMesh(tb testing.TB, rows, cols int, rate float64, shards int) *noc.Network {
 	cfg := noc.DefaultConfig()
-	cfg.Rows, cfg.Cols = rows, cols
 	cfg.Routing = noc.RoutingXY
-	return loadedNetwork(tb, cfg, rate, shards)
+	return loadedNetwork(tb, cfg, rate)
 }
 
 // seecNetwork builds the steady-state 8x8 SEEC mesh: the paper's
 // minimal-adaptive routing over one unified VNet, which exercises the
 // fused allocation path's tie-break draws and failure memo.
 func seecNetwork(tb testing.TB, rate float64) *noc.Network {
-	return loadedNetwork(tb, noc.DefaultConfig(), rate, 0, noc.WithScheme(express.NewSEEC(express.Options{})))
+	return loadedNetwork(tb, noc.DefaultConfig(), rate, noc.WithScheme(express.NewSEEC(express.Options{})))
 }
 
 // loadedNetwork builds cfg under the throttled benchmark source and
 // runs it to steady-state occupancy.
-func loadedNetwork(tb testing.TB, cfg noc.Config, rate float64, shards int, opts ...noc.Option) *noc.Network {
+func loadedNetwork(tb testing.TB, cfg noc.Config, rate float64, opts ...noc.Option) *noc.Network {
 	cfg.InjQueueCap = 16
 	src := newBenchSource(rate, 0xbe7c4, cfg.Nodes())
 	n, err := noc.New(cfg, append(opts, noc.WithTraffic(src))...)
@@ -100,10 +85,6 @@ func loadedNetwork(tb testing.TB, cfg noc.Config, rate float64, shards int, opts
 	}
 	src.net = n
 	n.SetPacketRecycling(true)
-	if shards > 1 {
-		n.EnableSharding(shards)
-		tb.Cleanup(n.StopWorkers)
-	}
 	n.Run(2000) // reach steady-state occupancy before timing
 	return n
 }
@@ -116,25 +97,6 @@ func BenchmarkStep(b *testing.B) {
 	for _, rate := range []float64{0.02, 0.20, 0.60} {
 		b.Run(fmt.Sprintf("rate=%.2f", rate), func(b *testing.B) {
 			n := benchNetwork(b, rate)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				n.Step()
-			}
-		})
-	}
-}
-
-// BenchmarkStepSharded measures one sharded Network.Step of a 16x16
-// mesh at saturation across shard counts. K=1 takes the serial step
-// (EnableSharding(1) is a no-op) and pins the no-regression bound; the
-// higher counts show the intra-run parallel speedup, which scales with
-// the cores actually available — the per-benchmark gomaxprocs field in
-// BENCH_step.json records what this machine could offer.
-func BenchmarkStepSharded(b *testing.B) {
-	for _, k := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
-			n := benchNetworkMesh(b, 16, 16, 0.60, k)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -237,26 +199,6 @@ func TestStepZeroAllocsUntraced(t *testing.T) {
 		sim.Run(3000)
 		if avg := testing.AllocsPerRun(2000, sim.Step); avg != 0 {
 			t.Errorf("%s 16x16 synthetic: Step allocates %.2f allocs/op with tracing disabled, want 0", sc, avg)
-		}
-		sim.Close()
-	}
-}
-
-// TestShardedStepZeroAllocs is the sharded-step allocation gate: after
-// warmup, the phase-barriered step must not allocate at any shard count
-// — staging buffers are pre-sized by EnableSharding and reused across
-// cycles, and stage dispatch on the persistent pool is allocation-free.
-// GOMAXPROCS is pinned above 1 so the staged path actually runs
-// (single-CPU processes delegate to the serial step, which
-// TestStepZeroAllocsUntraced already gates); AllocsPerRun reads the
-// process-wide malloc counter, so worker-goroutine allocations are
-// counted too.
-func TestShardedStepZeroAllocs(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	for _, k := range []int{2, 4} {
-		n := benchNetworkMesh(t, 16, 16, 0.60, k)
-		if avg := testing.AllocsPerRun(500, func() { n.Step() }); avg != 0 {
-			t.Errorf("K=%d: sharded Step allocates %.2f allocs/op, want 0", k, avg)
 		}
 	}
 }

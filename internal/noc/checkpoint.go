@@ -33,10 +33,6 @@ import (
 //   - The observability layer (Tracer/Metrics/Watchdog) — observe-only
 //     by construction; whatever the restore target has installed keeps
 //     running.
-//   - Sharding wiring and staging buffers: shard staging is provably
-//     empty between Steps (mergeShards runs at the end of every sharded
-//     cycle) and the merge reproduces the serial active-list order, so
-//     a checkpoint written at any shard count restores at any other.
 const secNetwork uint32 = 0x4E01
 
 // maxActive bounds restored active-list lengths (each link can appear

@@ -13,17 +13,17 @@ import "unsafe"
 // accessor keeps working while traversals walk contiguous memory.
 //
 // Everything is laid out router-major (all of router 0's state, then
-// router 1's, ...). Shards are contiguous node-id ranges, so each
-// shard's slice of every slab is automatically one contiguous run.
-// Per-element padding keeps concurrently-written neighbors on distinct
+// router 1's, ...), so one router's slice of every slab is one
+// contiguous run. Per-element padding keeps each element on whole
 // cache lines:
 //
 //   - VC is exactly 128 B (two lines: hot pipeline words first).
 //   - InputPort/OutputPort/DataLink/CreditLink are 128 B, Router and
-//     NIC 192 B, EjVC 64 B — all multiples of the 64 B line, so a shard
-//     boundary never splits a line between two structs (slabs ≥1 KiB
-//     land on 64 B-aligned size classes; only toy meshes can straddle
-//     one line, costing performance, never correctness).
+//     NIC 192 B, EjVC 64 B — all multiples of the 64 B line, so no
+//     line holds parts of two elements and the fields that share a line
+//     are chosen per struct (slabs ≥1 KiB land on 64 B-aligned size
+//     classes; only toy meshes can straddle one line, costing
+//     performance, never correctness).
 //
 // Dense addressing: portID(r, d) = r*NumPorts + d and vcID(r, d, v) =
 // portID(r, d)*nvcs + v. The per-router []*VC view table (Router.vcAt,
@@ -60,8 +60,8 @@ type layout struct {
 
 // Line-multiple size pins for the slab element types. A padding field
 // got the struct to the commented size; if a field is added the
-// compiler errors here rather than silently re-introducing false
-// sharing. (64-bit layouts; the build tag on this package's tests
+// compiler errors here rather than silently moving fields across cache
+// lines. (64-bit layouts; the build tag on this package's tests
 // keeps 32-bit ports honest about being unsupported.)
 const (
 	_ = uint(unsafe.Sizeof(VC{}) - 128)

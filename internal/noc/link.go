@@ -34,14 +34,7 @@ type DataLink struct {
 	// Second line.
 	Name string
 
-	// sendSh/sinkSh are the shards owning the sending and receiving end
-	// when sharded execution is enabled (nil otherwise). Send stages
-	// into sendSh's list during parallel stages; phase A delivery is
-	// partitioned by sinkSh.
-	sendSh *shardState
-	sinkSh *shardState
-
-	_ [32]byte // pad to 128 (see layout.go size pins)
+	_ [48]byte // pad to 128 (see layout.go size pins)
 }
 
 // Send stages a flit for delivery next cycle.
@@ -52,11 +45,7 @@ func (l *DataLink) Send(f Flit, vc int) {
 	l.pending = linkPayload{flit: f, vc: vc}
 	l.busy = true
 	if l.net != nil {
-		if l.net.stageParallel {
-			l.sendSh.data = append(l.sendSh.data, l)
-		} else {
-			l.net.activeData = append(l.net.activeData, l)
-		}
+		l.net.activeData = append(l.net.activeData, l)
 	}
 }
 
@@ -117,11 +106,7 @@ type CreditLink struct {
 	slots [2]Credit
 	nic   *NIC
 
-	// sendSh/sinkSh: see DataLink.
-	sendSh *shardState
-	sinkSh *shardState
-
-	_ [16]byte // pad to 128 (see layout.go size pins)
+	_ [32]byte // pad to 128 (see layout.go size pins)
 }
 
 // Send stages a credit for delivery next cycle. Count may be zero when
@@ -129,11 +114,7 @@ type CreditLink struct {
 // Free-Flow, which never consumed credits).
 func (l *CreditLink) Send(c Credit) {
 	if len(l.pending) == 0 && l.net != nil {
-		if l.net.stageParallel {
-			l.sendSh.credit = append(l.sendSh.credit, l)
-		} else {
-			l.net.activeCredit = append(l.net.activeCredit, l)
-		}
+		l.net.activeCredit = append(l.net.activeCredit, l)
 	}
 	l.pending = append(l.pending, c)
 }

@@ -23,6 +23,24 @@ type TrafficSource interface {
 	Deliver(cycle int64, pkt *Packet) bool
 }
 
+// ConcurrentGenerator is an optional TrafficSource method.
+//
+// Deprecated: it has no effect; Network.Step is serial. Its only user
+// is the perfbench module, which forwards it through its traffic
+// wrapper.
+type ConcurrentGenerator interface {
+	ConcurrentGenerate() bool
+}
+
+// ConcurrentDeliverer is an optional TrafficSource method.
+//
+// Deprecated: it has no effect; Network.Step is serial. Its only user
+// is the perfbench module, which forwards it through its traffic
+// wrapper.
+type ConcurrentDeliverer interface {
+	ConcurrentDeliver() bool
+}
+
 // Scheme is a deadlock-freedom / flow-control mechanism layered on the
 // base credit-flow router. Hooks run inside Network.Step.
 type Scheme interface {
@@ -125,27 +143,6 @@ type Network struct {
 	recycle  bool
 	freePkts []*Packet
 
-	// Sharded execution (see shard.go). shards is nil in serial mode;
-	// stageParallel is true exactly while a parallel stage runs, and
-	// every emit site on the hot path branches on it to stage shared
-	// mutations per shard. vaParallel caches whether the VA policy may
-	// run inside the parallel stage; injStage/consumeStage/genStage are
-	// the per-cycle stage-composition flags; stageData/stageCredits
-	// expose the previous cycle's active lists to the delivery stage.
-	shards           []*shardState
-	pool             *shardPool
-	finalizerSet     bool
-	stageParallel    bool
-	vaParallel       bool
-	injStage         bool
-	consumeStage     bool
-	genStage         bool
-	stageData        []*DataLink
-	stageCredits     []*CreditLink
-	fnDeliver        func(int)
-	fnDeliverCredits func(int)
-	fnRouter         func(int)
-
 	// noFastForward disables idle fast-forward in Run/Drain (see
 	// SetFastForward; skips are exact, so this is a debugging aid).
 	noFastForward bool
@@ -208,8 +205,7 @@ func New(cfg Config, opts ...Option) (*Network, error) {
 	}
 	// Create ports. Every router has local ports; cardinal ports exist
 	// only where the mesh has a neighbor. All per-router state is carved
-	// router-major from the slabs, so a shard's node range owns one
-	// contiguous run of every slab.
+	// router-major from the slabs.
 	for id, r := range n.Routers {
 		r.nvcs = nvcs
 		r.vaSet = lay.takeBits(NumPorts * nvcs)
@@ -329,19 +325,8 @@ func New(cfg Config, opts ...Option) (*Network, error) {
 // only routers with buffered flits run their pipelines, and only NICs
 // with pending work inject or consume. Every skip condition is exact —
 // the skipped code path would provably be a no-op — so results are
-// bit-identical to the full sweep. With sharding enabled (see
-// EnableSharding) the cycle runs as phase-barriered parallel stages,
-// again bit-identically.
+// bit-identical to the full sweep.
 func (n *Network) Step() {
-	if n.shards != nil {
-		n.stepSharded()
-		return
-	}
-	n.stepSerial()
-}
-
-// stepSerial is the classic single-goroutine cycle.
-func (n *Network) stepSerial() {
 	n.Cycle++
 	// Phase A: deliver everything staged in the previous cycle — data
 	// before credits, as the full sweep ordered them. Swapping the
@@ -465,7 +450,7 @@ func (n *Network) bumpVARound() {
 func (n *Network) SetPacketRecycling(on bool) { n.recycle = on }
 
 // Run advances the simulation by cycles steps, fast-forwarding through
-// provably idle stretches (see trySkip in shard.go; skips are exact,
+// provably idle stretches (see trySkip in idle.go; skips are exact,
 // results are bit-identical to stepping every cycle).
 func (n *Network) Run(cycles int64) {
 	target := n.Cycle + cycles

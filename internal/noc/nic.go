@@ -63,10 +63,7 @@ type NIC struct {
 	// packet; while zero, consume is a provable no-op and Step skips it.
 	ejOccupied int
 
-	// shard is the NIC's shard under sharded execution (nil in serial
-	// mode); emit sites stage shared mutations through it while a
-	// parallel stage runs.
-	shard *shardState
+	_ [8]byte // holds later fields at their tuned offsets (layout.go)
 
 	// qBase[c] is the start of Queues[c]'s backing array, so a drained
 	// queue rewinds to it and a full one can slide back over the slots
@@ -216,11 +213,7 @@ func (n *NIC) inject() {
 	f := NewFlit(n.cur, n.curFlit)
 	m.Credits--
 	n.InjLink.Send(f, n.curVC)
-	if n.Net.stageParallel {
-		n.shard.progress = true
-	} else {
-		n.Net.noteProgress()
-	}
+	n.Net.noteProgress()
 	if f.IsHead() {
 		n.cur.Injected = n.Net.Cycle
 		if fi := n.Net.Faults; fi != nil && n.cur.Txn != 0 {
@@ -333,17 +326,10 @@ func (n *NIC) deposit(f Flit, vcID int, credited bool) {
 	if credited {
 		ej.creditsUsed++
 	}
-	if n.Net.stageParallel {
-		n.shard.bufferWrites++
-	} else {
-		n.Net.Energy.BufferWrites++
-	}
+	n.Net.Energy.BufferWrites++
 	if f.IsTail() {
 		p := f.Pkt
 		if fi := n.Net.Faults; fi != nil {
-			// Fault verdicts mutate the shared injector, so faulted data
-			// delivery always runs serially (stageParallel is false here
-			// whenever fi != nil).
 			out := fi.Arrived(p.Txn, p.Attempt, p.FaultLost, p.Csum != pktCsum(p), n.Net.Cycle)
 			if out != fault.Accept {
 				n.discardEjected(vcID, out)
@@ -361,11 +347,7 @@ func (n *NIC) deposit(f Flit, vcID int, credited bool) {
 			FF:         p.FF,
 			FFUpgraded: p.FFCycle,
 		}
-		if n.Net.stageParallel {
-			n.shard.records = append(n.shard.records, rec)
-		} else {
-			n.Net.Collector.Record(rec)
-		}
+		n.Net.Collector.Record(rec)
 	}
 }
 
@@ -388,16 +370,6 @@ func (n *NIC) consume() {
 		ej.creditsUsed = 0
 		ej.Reserved = false
 		n.ejOccupied--
-		if n.Net.stageParallel {
-			sh := n.shard
-			sh.inFlightDelta--
-			sh.progress = true
-			sh.consumed = true
-			if n.Net.recycle {
-				sh.freePkts = append(sh.freePkts, p)
-			}
-			continue
-		}
 		n.Net.InFlight--
 		n.Net.noteProgress()
 		n.Net.lastConsume = n.Net.Cycle

@@ -61,11 +61,7 @@ func (p *InputPort) receiveFlit(f Flit, vcID int) {
 		vc.Activate(f.Pkt, net.Cycle)
 	}
 	vc.Push(f)
-	if net.stageParallel {
-		p.Router.shard.bufferWrites++
-	} else {
-		net.Energy.BufferWrites++
-	}
+	net.Energy.BufferWrites++
 	if tr := net.Tracer; tr != nil {
 		tr.Record(trace.Event{Cycle: net.Cycle, Kind: trace.EvLink,
 			Node: int32(p.Router.ID), Port: int16(p.Dir), VC: int16(vcID),

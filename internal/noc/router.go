@@ -89,10 +89,7 @@ type Router struct {
 	// dividing the bit index back into (port, vc).
 	vcAt []*VC
 
-	// shard is the router's shard under sharded execution (nil in
-	// serial mode); emit sites stage shared mutations through it while
-	// a parallel stage runs.
-	shard *shardState
+	_ [8]byte // holds saWords at its tuned offset (layout.go)
 
 	// saWords views the five input ports' saSet words, indexed by
 	// direction, when every saSet is one word (TotalVCs <= 64; nil
@@ -203,11 +200,7 @@ func (r *Router) vaTry(vc *VC) {
 // vaStall records a failed VC allocation when metrics are installed.
 func (r *Router) vaStall() {
 	if m := r.Net.Metrics; m != nil {
-		if r.Net.stageParallel {
-			r.shard.stalls = append(r.shard.stalls, stallRec{node: int32(r.ID), cause: trace.StallVA})
-		} else {
-			m.Stall(r.ID, trace.StallVA)
-		}
+		m.Stall(r.ID, trace.StallVA)
 	}
 }
 
@@ -451,11 +444,7 @@ func (r *Router) noteSAStall(vc *VC, out *OutputPort) {
 		kind = trace.EvCreditStall
 	}
 	if m := r.Net.Metrics; m != nil {
-		if r.Net.stageParallel {
-			r.shard.stalls = append(r.shard.stalls, stallRec{node: int32(r.ID), cause: cause})
-		} else {
-			m.Stall(r.ID, cause)
-		}
+		m.Stall(r.ID, cause)
 	}
 	if tr := r.Net.Tracer; tr != nil {
 		tr.Record(trace.Event{Cycle: r.Net.Cycle, Kind: kind,
@@ -473,32 +462,17 @@ func (r *Router) sendFlit(in *InputPort, vc *VC) {
 	out.VCs[vc.OutVC].Credits--
 	out.Link.Send(f, vc.OutVC)
 	vc.LastMove = r.Net.Cycle
-	if r.Net.stageParallel {
-		sh := r.shard
-		sh.bufferReads++
-		if out.Dir != Local {
-			sh.dataHops++
-			if f.IsHead() {
-				f.Pkt.Hops++
-			}
-			if r.Net.Metrics != nil {
-				sh.linkFlits = append(sh.linkFlits, linkFlitRec{node: int32(r.ID), dir: int8(out.Dir)})
-			}
+	r.Net.Energy.BufferReads++
+	if out.Dir != Local {
+		r.Net.Energy.AddDataHop()
+		if f.IsHead() {
+			f.Pkt.Hops++
 		}
-		sh.progress = true
-	} else {
-		r.Net.Energy.BufferReads++
-		if out.Dir != Local {
-			r.Net.Energy.AddDataHop()
-			if f.IsHead() {
-				f.Pkt.Hops++
-			}
-			if m := r.Net.Metrics; m != nil {
-				m.LinkFlit(r.ID, out.Dir)
-			}
+		if m := r.Net.Metrics; m != nil {
+			m.LinkFlit(r.ID, out.Dir)
 		}
-		r.Net.noteProgress()
 	}
+	r.Net.noteProgress()
 	if tr := r.Net.Tracer; tr != nil {
 		tr.Record(trace.Event{Cycle: r.Net.Cycle, Kind: trace.EvSA,
 			Node: int32(r.ID), Port: int16(vc.OutPort), VC: int16(vc.OutVC),

@@ -35,10 +35,8 @@ import (
 //	                 seec.Result payloads; the measurement name keys
 //	                 the derivation.
 func canonicalConfig(cfg seec.Config) []byte {
-	// Mirror serve.CacheKey's canonicalization: Shards is a pure speed
-	// knob with byte-identical results, and the operational fields are
-	// excluded by Config's own JSON contract.
-	cfg.Shards = 0
+	// Mirror serve.CacheKey's canonicalization: the operational fields
+	// are excluded by Config's own JSON contract.
 	cfg.Instrument = nil
 	cfg.Telemetry = nil
 	b, err := json.Marshal(cfg)

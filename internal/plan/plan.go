@@ -92,8 +92,10 @@ type Outcome struct {
 type Options struct {
 	// Workers bounds the execution worker pool (<= 0: GOMAXPROCS).
 	Workers int
-	// Shards is the intra-run shard count applied to warmup-family
-	// base runs (members inherit it through the fork).
+	// Shards has no effect.
+	//
+	// Deprecated: runs are serial. Its only user is the perfbench
+	// module, which sets it to 1.
 	Shards int
 	// JobTimeout bounds each execution unit (<= 0: unbounded).
 	JobTimeout time.Duration
@@ -422,7 +424,6 @@ func (p *Planner) Run(ctx context.Context, jobs []Job, run RunFunc) []Outcome {
 			}
 			base := jobs[f.members[len(f.members)/2]].Cfg
 			base.Seed = base.SweepSeed("warmup-share")
-			base.Shards = p.opts.Shards
 			f.base = base
 			fi := len(kept)
 			kept = append(kept, f)

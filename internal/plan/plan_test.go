@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"path/filepath"
@@ -145,6 +146,41 @@ func TestPlannerRunDedupAndWarmStore(t *testing.T) {
 	}
 	if st2.StoreHits == 0 {
 		t.Error("warm run recorded no store hits")
+	}
+
+	// Stores filled while seec.Config had a Shards field carry
+	// "Shards":1 in every cached Result.Config (figures recorded its
+	// derived shard count there). The keys never included it, and the
+	// field is ignored on decode, so such blobs stay warm.
+	store, err := serve.NewStore(serve.OSFS{}, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range jobs[:2] {
+		key := Key(j)
+		b, ok, err := store.Get(key)
+		if !ok || err != nil {
+			t.Fatalf("blob %s: ok=%v err=%v", key[:8], ok, err)
+		}
+		old := bytes.Replace(b, []byte(`"Config":{`), []byte(`"Config":{"Shards":1,`), 1)
+		if bytes.Equal(old, b) {
+			t.Fatalf("blob %s: no Config object in %s", key[:8], b)
+		}
+		if err := store.Put(key, old); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p3, err := New(Options{Workers: 2, CacheDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	outs3 := p3.Run(context.Background(), jobs, directRun)
+	if !reflect.DeepEqual(outs1, outs3) {
+		t.Error("outcomes from blobs carrying Shards differ from cold outcomes")
+	}
+	if st3 := p3.Stats(); st3.Simulated != 0 || st3.StoreHits != 2 || st3.Quarantined != 0 {
+		t.Errorf("blobs carrying Shards: simulated=%d store-hits=%d quarantined=%d, want 0/2/0",
+			st3.Simulated, st3.StoreHits, st3.Quarantined)
 	}
 }
 

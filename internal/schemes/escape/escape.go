@@ -100,10 +100,3 @@ func (p Policy) SelectInject(r *noc.Router, mirror []noc.OutVC, pkt *noc.Packet)
 	}
 	return 0, false
 }
-
-// VAParallelSafe implements noc.ParallelSafeVA: false, because the
-// adaptive pool's candidate ordering draws from the shared network RNG
-// (tie-breaks in orderAdaptive). Sharded execution runs the escape
-// policy's VC allocation as a serial pass in router-id order, which
-// preserves the global draw sequence exactly.
-func (p Policy) VAParallelSafe() bool { return false }

@@ -70,10 +70,3 @@ func (p Policy) Select(r *noc.Router, in *noc.InputPort, vc *noc.VC) (noc.Assign
 func (Policy) SelectInject(r *noc.Router, mirror []noc.OutVC, pkt *noc.Packet) (int, bool) {
 	return noc.DefaultVA{Kind: noc.RoutingWestFirst}.SelectInject(r, mirror, pkt)
 }
-
-// VAParallelSafe implements noc.ParallelSafeVA: false, because Select
-// reads token counts from downstream routers (cross-shard state) and
-// west-first candidate ordering draws from the shared network RNG.
-// Sharded execution therefore runs TFC's VC allocation as a serial
-// pass in router-id order, which preserves both exactly.
-func (Policy) VAParallelSafe() bool { return false }

@@ -21,8 +21,7 @@ const ResultFormatVersion = 1
 // CacheKey is the canonical content address of one run's result: the
 // SHA-256 of the result format version and the canonical JSON of the
 // run's semantic configuration. The canonicalization is the
-// CheckpointHash one — Shards zeroed (a pure speed knob with
-// byte-identical results), operational fields (checkpoint paths,
+// CheckpointHash one — operational fields (checkpoint paths,
 // instrumentation, telemetry) excluded by the Config's own JSON
 // contract — so everything that can change result bytes participates:
 // scheme, routing, topology shape, VC shape, seed, traffic pattern and
@@ -30,7 +29,6 @@ const ResultFormatVersion = 1
 // keys produce byte-identical result payloads; two with different
 // semantics get different keys.
 func CacheKey(cfg seec.Config) string {
-	cfg.Shards = 0
 	cfg.Instrument = nil // json:"-", but zeroed for clarity
 	cfg.Telemetry = nil
 	b, err := json.Marshal(cfg)

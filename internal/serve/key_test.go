@@ -78,13 +78,13 @@ func TestCacheKeyGolden(t *testing.T) {
 	}
 }
 
-// TestCacheKeyInsensitiveToOperationalKnobs: pure speed/observability
-// knobs must not split the cache — they cannot change result bytes.
+// TestCacheKeyInsensitiveToOperationalKnobs: operational and
+// observability knobs must not split the cache — they cannot change
+// result bytes.
 func TestCacheKeyInsensitiveToOperationalKnobs(t *testing.T) {
 	base := seec.DefaultConfig()
 	key := CacheKey(base)
 	mod := base
-	mod.Shards = 8
 	mod.CheckpointPath = "/tmp/x.ckpt"
 	mod.CheckpointEvery = 100
 	mod.ResumePath = "/tmp/x.ckpt"

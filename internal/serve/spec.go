@@ -28,9 +28,9 @@ const (
 // explicit rate list, or an inclusive arithmetic range). Zero values
 // select the paper defaults (8x8 mesh, SEEC, uniform random, rate
 // 0.05). The spec deliberately exposes only semantic knobs — no
-// operational fields: checkpointing, sharding and instrumentation are
-// the server's business, and keeping them out of the spec keeps them
-// out of the cache key by construction.
+// operational fields: checkpointing and instrumentation are the
+// server's business, and keeping them out of the spec keeps them out
+// of the cache key by construction.
 type JobSpec struct {
 	Scheme  string `json:"scheme,omitempty"`
 	Routing string `json:"routing,omitempty"`

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -159,18 +158,20 @@ func (s *Store) Get(key string) (payload []byte, ok bool, err error) {
 	return nil, false, fmt.Errorf("store: blob %s corrupt, quarantined to %s", key[:8], qpath)
 }
 
-// decodeBlob validates the frame and returns the payload.
+// decodeBlob validates the frame and returns the payload. The header
+// must be exactly the magic, one space, eight hex digits and a newline
+// (parseHex8 is the WAL frame's CRC parser).
 func decodeBlob(data []byte) ([]byte, bool) {
-	nl := bytes.IndexByte(data, '\n')
-	if nl < 0 {
+	const prefix = storeMagic + " "
+	const headerLen = len(prefix) + 8 + 1
+	if len(data) < headerLen || string(data[:len(prefix)]) != prefix || data[headerLen-1] != '\n' {
 		return nil, false
 	}
-	header := string(data[:nl])
-	var crc uint32
-	if _, err := fmt.Sscanf(header, storeMagic+" %08x", &crc); err != nil {
+	crc, ok := parseHex8(data[len(prefix) : headerLen-1])
+	if !ok {
 		return nil, false
 	}
-	payload := data[nl+1:]
+	payload := data[headerLen:]
 	if crc32.Checksum(payload, walCRC) != crc {
 		return nil, false
 	}

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"bytes"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -143,5 +145,62 @@ func TestStoreTruncatedBlob(t *testing.T) {
 	os.WriteFile(filepath.Join(dir, testKey), []byte("SEECRES1 0000"), 0o644)
 	if _, ok, err := st.Get(testKey); ok || err == nil {
 		t.Fatalf("truncated blob: ok=%v err=%v", ok, err)
+	}
+}
+
+// TestStoreRejectsLooseHeaders: the blob header is exactly the magic,
+// one space, eight hex digits and a newline. Each header below carries
+// the payload's true CRC but in a malformed spelling — unpadded,
+// trailed by junk, after two spaces — and must be refused and
+// quarantined, never served.
+func TestStoreRejectsLooseHeaders(t *testing.T) {
+	// A payload whose CRC has a leading zero digit, so the unpadded
+	// spelling is shorter than eight digits.
+	var payload []byte
+	var crc uint32
+	for i := 0; ; i++ {
+		payload = fmt.Appendf(nil, `{"avg":%d}`, i)
+		if crc = crc32.Checksum(payload, walCRC); crc < 1<<28 {
+			break
+		}
+	}
+	root := filepath.Join(t.TempDir(), "results")
+	st, err := NewStore(OSFS{}, root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := filepath.Join(root, "objects", testKey[:2], testKey)
+	if err := os.MkdirAll(filepath.Dir(blob), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	write := func(header string) {
+		t.Helper()
+		if err := os.WriteFile(blob, append([]byte(header), payload...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(fmt.Sprintf("SEECRES1 %08x\n", crc))
+	if got, ok, err := st.Get(testKey); !ok || err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("well-formed header: %q ok=%v err=%v", got, ok, err)
+	}
+	for i, header := range []string{
+		fmt.Sprintf("SEECRES1 %x\n", crc),
+		fmt.Sprintf("SEECRES1 %08xjunk\n", crc),
+		fmt.Sprintf("SEECRES1  %08x\n", crc),
+	} {
+		write(header)
+		got, ok, err := st.Get(testKey)
+		if ok || got != nil {
+			t.Fatalf("header %q: blob served: %q", header, got)
+		}
+		if err == nil || !strings.Contains(err.Error(), "quarantined") {
+			t.Fatalf("header %q: want quarantine verdict, got %v", header, err)
+		}
+		if _, err := os.Stat(blob); !os.IsNotExist(err) {
+			t.Fatalf("header %q: blob still in objects/", header)
+		}
+		if n := st.QuarantineCount(); n != i+1 {
+			t.Fatalf("header %q: quarantine count %d, want %d", header, n, i+1)
+		}
 	}
 }

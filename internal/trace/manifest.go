@@ -34,11 +34,6 @@ type Manifest struct {
 	FaultSpec string `json:"fault_spec,omitempty"`
 	FaultSeed uint64 `json:"fault_seed,omitempty"`
 
-	// Shards is the intra-run shard count the simulation executed with
-	// (sharded runs are byte-identical to serial ones, so this is
-	// provenance, not a result parameter). Omitted for serial runs.
-	Shards int `json:"shards,omitempty"`
-
 	// Confidence-interval provenance, present when the run used CI
 	// early stopping: the requested relative-half-width target, the
 	// relative half-width actually achieved at the stop point, and the

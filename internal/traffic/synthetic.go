@@ -233,13 +233,18 @@ func (s *Synthetic) Generate(cycle int64, node int) []noc.PacketSpec {
 // Deliver implements noc.TrafficSource: synthetic sinks always consume.
 func (s *Synthetic) Deliver(cycle int64, pkt *noc.Packet) bool { return true }
 
-// ConcurrentGenerate implements noc.ConcurrentGenerator: each node
-// draws from its own PRNG stream into its own scratch slice and reads
-// no network state, so Generate may run concurrently across nodes.
+// ConcurrentGenerate reports true.
+//
+// Deprecated: it has no effect; noc.Network.Step is serial. Its only
+// user is the perfbench module, whose wrapper test checks it is
+// forwarded.
 func (s *Synthetic) ConcurrentGenerate() bool { return true }
 
-// ConcurrentDeliver implements noc.ConcurrentDeliverer: the sink is
-// stateless.
+// ConcurrentDeliver reports true.
+//
+// Deprecated: it has no effect; noc.Network.Step is serial. Its only
+// user is the perfbench module, whose wrapper test checks it is
+// forwarded.
 func (s *Synthetic) ConcurrentDeliver() bool { return true }
 
 // Idle implements noc.IdleReporter: while paused or at zero rate,

@@ -106,7 +106,6 @@ func RunSyntheticCtx(ctx context.Context, cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	defer s.Close()
 	var done func()
 	if cfg.Instrument != nil {
 		done = cfg.Instrument(s)
@@ -274,14 +273,11 @@ func RunSyntheticForkedCtx(ctx context.Context, cfg Config, forks []Fork, worker
 		}
 		s.Run(chunk)
 		if err := ctx.Err(); err != nil {
-			s.Close()
 			return nil, err
 		}
 	}
 	var buf bytes.Buffer
-	err = s.SaveCheckpoint(&buf)
-	s.Close()
-	if err != nil {
+	if err := s.SaveCheckpoint(&buf); err != nil {
 		return nil, err
 	}
 	snap := buf.Bytes()
@@ -290,7 +286,6 @@ func RunSyntheticForkedCtx(ctx context.Context, cfg Config, forks []Fork, worker
 		if err != nil {
 			return Result{}, err
 		}
-		defer fs.Close()
 		fcfg := base
 		if fk.Seed != 0 {
 			fcfg.Seed = fk.Seed
@@ -568,7 +563,6 @@ func RunApplicationCtx(ctx context.Context, cfg Config, app string, txns, maxCyc
 	if err != nil {
 		return AppResult{}, err
 	}
-	defer s.Close()
 	var done func()
 	if cfg.Instrument != nil {
 		done = cfg.Instrument(s)

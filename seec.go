@@ -149,18 +149,6 @@ type Config struct {
 	// traffic; deflection schemes and coherence traffic reject it.
 	Faults string
 
-	// Shards selects deterministic intra-run parallelism: the mesh is
-	// partitioned into Shards contiguous spatial shards and each cycle
-	// runs as phase-barriered parallel stages on a persistent worker
-	// pool. Results are byte-identical to serial execution for every
-	// scheme, traffic pattern and fault spec (DESIGN.md §8), so this is
-	// purely a speed knob. 0 or 1 selects the serial step; values above
-	// the node count are clamped. Credit-flow schemes only — deflection
-	// schemes reject Shards > 1. Excluded from SweepSeed (identical
-	// results need identical seeds), and normalized away by nothing
-	// else: Result.Config retains the value that ran.
-	Shards int `json:",omitempty"`
-
 	// StopCI enables confidence-interval early stopping for synthetic
 	// runs: after warmup, a batch-means estimator (internal/stats)
 	// tracks the average packet latency, and the run ends as soon as
@@ -345,16 +333,11 @@ func (s *Sim) Run(n int64) {
 	}
 }
 
-// Close releases the sharded worker pool, if any. Optional — a GC
-// finalizer eventually reclaims forgotten pools — but deterministic
-// cleanup keeps goroutine counts flat in sweeps that build thousands
-// of Sims. Safe to call more than once; the Sim remains usable (the
-// next sharded Step starts a fresh pool).
-func (s *Sim) Close() {
-	if s.Net != nil {
-		s.Net.StopWorkers()
-	}
-}
+// Close does nothing.
+//
+// Deprecated: a Sim holds no resources beyond memory. Its only user is
+// the perfbench module, which defers it.
+func (s *Sim) Close() {}
 
 // Cycle returns the current simulation time.
 func (s *Sim) Cycle() int64 {
@@ -493,9 +476,6 @@ func build(cfg Config, src noc.TrafficSource) (*Sim, error) {
 			return nil, fmt.Errorf("seec: %s moves whole packets between buffers and does not support wormhole mode (§3.11)", cfg.Scheme)
 		}
 	}
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("seec: negative shard count %d", cfg.Shards)
-	}
 	var spec fault.Spec
 	if cfg.Faults != "" {
 		spec, err = fault.ParseSpec(cfg.Faults)
@@ -506,9 +486,6 @@ func build(cfg Config, src noc.TrafficSource) (*Sim, error) {
 	s := &Sim{Cfg: cfg}
 	switch cfg.Scheme {
 	case SchemeCHIPPER, SchemeMinBD:
-		if cfg.Shards > 1 {
-			return nil, fmt.Errorf("seec: sharded execution supports credit-flow schemes only, not %s", cfg.Scheme)
-		}
 		if cfg.Faults != "" {
 			// Deflection networks have no credit-flow NICs to carry the
 			// ACK/retransmission protocol.
@@ -563,9 +540,6 @@ func build(cfg Config, src noc.TrafficSource) (*Sim, error) {
 		return nil, err
 	}
 	s.Net = n
-	if cfg.Shards > 1 {
-		n.EnableSharding(cfg.Shards)
-	}
 	if cfg.Faults != "" {
 		// The injector's private stream is derived from the run seed and
 		// the spec's own seed field, so fault draws are independent of —
