@@ -13,7 +13,7 @@ import (
 )
 
 // TestCheckpointFixtureRestore restores the checked-in format-v1
-// checkpoint blobs under testdata/ckpt — written by the pre-slab
+// checkpoint blobs testdata/ckpt/*_v1.ckpt — written by the pre-slab
 // simulator, before the flat memory layout and the normalized
 // round-robin counters existed — and requires the current code to
 // either reproduce the uninterrupted run bit for bit or refuse with a

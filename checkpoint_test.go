@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -134,14 +135,24 @@ func TestResumeIdentity(t *testing.T) {
 // network snapshot against the uninterrupted run after every single
 // cycle: any divergence is pinned to the exact cycle it first appears,
 // instead of surfacing cycles later in an end-of-run aggregate.
+//
+// The shards4 cases restore testdata/ckpt/*_shards4.ckpt instead of a
+// checkpoint taken here: the last build with intra-run sharding wrote
+// them from 4-shard runs of the same configurations at the same cycle.
+// The config hash never covered the shard count and the sharded step
+// was byte-identical to the serial one, so those files must pass the
+// hash check and continue in lockstep with a serial run.
 func TestCheckpointLockstep(t *testing.T) {
 	const lockstepCycles = 500
 	cases := []struct {
-		name   string
-		faults string
+		name    string
+		faults  string
+		fixture string
 	}{
-		{"serial", ""},
-		{"serial_faults", "link:0.001,router:1@2000,corrupt:1e-4"},
+		{"serial", "", ""},
+		{"serial_faults", "link:0.001,router:1@2000,corrupt:1e-4", ""},
+		{"shards4", "", "seec_uniform_shards4.ckpt"},
+		{"shards4_faults", "link:0.001,router:1@2000,corrupt:1e-4", "seec_faults_shards4.ckpt"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -153,12 +164,23 @@ func TestCheckpointLockstep(t *testing.T) {
 			}
 			s.Run(cfg.Warmup + 300)
 			var buf bytes.Buffer
-			if err := s.SaveCheckpoint(&buf); err != nil {
-				t.Fatalf("SaveCheckpoint: %v", err)
+			if tc.fixture == "" {
+				if err := s.SaveCheckpoint(&buf); err != nil {
+					t.Fatalf("SaveCheckpoint: %v", err)
+				}
+			} else {
+				blob, err := os.ReadFile(filepath.Join("testdata", "ckpt", tc.fixture))
+				if err != nil {
+					t.Fatalf("reading fixture: %v", err)
+				}
+				buf.Write(blob)
 			}
 			r, err := seec.NewSimFromCheckpoint(cfg, bytes.NewReader(buf.Bytes()))
 			if err != nil {
 				t.Fatalf("restore: %v", err)
+			}
+			if r.Cycle() != s.Cycle() {
+				t.Fatalf("restored at cycle %d, uninterrupted run is at %d", r.Cycle(), s.Cycle())
 			}
 			var want, got bytes.Buffer
 			for i := 0; i <= lockstepCycles; i++ {

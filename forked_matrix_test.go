@@ -1,12 +1,14 @@
 package seec_test
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"testing"
 
 	"seec"
 	"seec/internal/checkpoint"
+	"seec/internal/plan"
 )
 
 // matrixCfg is one small point of the fork identity matrix.
@@ -78,6 +80,61 @@ func TestWarmupForkIdentityMatrix(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// TestWarmupForkShardedIdentity pins the planner's warm-up fork path
+// against the shard count that plan.Options keeps for the perfbench
+// module: planners with Shards 0, 1 and 4 fork the same families from
+// the same warm states, and every member's outcome is the bytes
+// seec.RunSyntheticForkedCtx gives for its family's base (the mid-rate
+// member, seeded by SweepSeed("warmup-share")). Older builds copied the
+// shard count into every family base, so a fork path that still read
+// it would skew shared sweeps.
+func TestWarmupForkShardedIdentity(t *testing.T) {
+	ctx := context.Background()
+	rates := []float64{0.05, 0.10, 0.20}
+	var jobs []plan.Job
+	var want []seec.Result
+	for _, scheme := range []seec.Scheme{seec.SchemeSEEC, seec.SchemeMSEEC} {
+		forks := make([]seec.Fork, len(rates))
+		for i, rate := range rates {
+			cfg := matrixCfg(scheme, "uniform_random", "")
+			cfg.InjectionRate = rate
+			jobs = append(jobs, plan.Job{Cfg: cfg, DeriveSeed: true})
+			forks[i] = seec.Fork{Rate: rate}
+		}
+		base := matrixCfg(scheme, "uniform_random", "")
+		base.InjectionRate = rates[len(rates)/2]
+		base.Seed = base.SweepSeed("warmup-share")
+		res, err := seec.RunSyntheticForkedCtx(ctx, base, forks, 1)
+		if err != nil {
+			t.Fatalf("%s library fork: %v", scheme, err)
+		}
+		want = append(want, res...)
+	}
+	run := func(ctx context.Context, cfg seec.Config) (seec.Result, error) {
+		return seec.RunSyntheticCtx(ctx, cfg)
+	}
+	for _, shards := range []int{0, 1, 4} {
+		p, err := plan.New(plan.Options{Workers: 2, Shards: shards, WarmupShare: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs := p.Run(ctx, jobs, run)
+		for i, o := range outs {
+			if !o.Done || o.Err != nil {
+				t.Fatalf("shards=%d job %d: done=%v err=%v", shards, i, o.Done, o.Err)
+			}
+			if !reflect.DeepEqual(o.Result, want[i]) {
+				t.Errorf("shards=%d job %d: planner fork differs from the library fork\nlibrary: %+v\nplanner: %+v",
+					shards, i, want[i], o.Result)
+			}
+		}
+		if st := p.Stats(); st.WarmupFamilies != 2 || st.WarmupForks != int64(len(jobs)) {
+			t.Errorf("shards=%d: families=%d forks=%d, want 2/%d",
+				shards, st.WarmupFamilies, st.WarmupForks, len(jobs))
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"seec"
+	"seec/internal/runner"
 )
 
 // The public sweep helpers run their points concurrently but promise
@@ -59,6 +60,50 @@ func TestSaturationThroughputParallelDeterminism(t *testing.T) {
 	}
 	if satSerial != satPar || !reflect.DeepEqual(resSerial, resPar) {
 		t.Fatalf("saturation differs: serial %.4f vs parallel %.4f", satSerial, satPar)
+	}
+}
+
+// TestShardedStepRace steps four simulations of one configuration at
+// the same time on the runner pool, the way a sweep runs its points,
+// for long enough that the race detector sees any state they share,
+// and requires the four Results to be identical. A simulation steps on
+// one goroutine (DESIGN.md §8.1), so concurrent runs are the only
+// concurrency a step meets. The cases keep the names of the VA paths
+// they cover: XY's fused DefaultVA path with its failure memo
+// (parallel_va), SEEC's escape policy (serial_va), and XY under link
+// faults and drops (faulted). ci.sh's race pass runs it.
+func TestShardedStepRace(t *testing.T) {
+	cases := []struct {
+		name   string
+		scheme seec.Scheme
+		faults string
+	}{
+		{"parallel_va", seec.SchemeXY, ""},
+		{"serial_va", seec.SchemeSEEC, ""},
+		{"faulted", seec.SchemeXY, "link:0.002,drop:0.001"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			cfg := seec.DefaultConfig()
+			cfg.Scheme = tc.scheme
+			cfg.InjectionRate = 0.20
+			cfg.SimCycles = 1500
+			cfg.Warmup = 200
+			cfg.Faults = tc.faults
+			const runs = 4
+			res, err := runner.Map(context.Background(), runs, func(ctx context.Context, _ int) (seec.Result, error) {
+				return seec.RunSyntheticCtx(ctx, cfg)
+			}, runner.WithWorkers(runs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 1; i < runs; i++ {
+				if !reflect.DeepEqual(res[0], res[i]) {
+					t.Errorf("concurrent run %d differs from run 0\nrun 0: %+v\nrun %d: %+v", i, res[0], i, res[i])
+				}
+			}
+		})
 	}
 }
 
