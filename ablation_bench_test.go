@@ -12,6 +12,7 @@ package seec_test
 //   - mSEEC's concurrent seekers vs single SEEC at equal hardware.
 
 import (
+	"context"
 	"testing"
 
 	"seec"
@@ -55,7 +56,7 @@ func BenchmarkAblationEjectVCs(b *testing.B) {
 				cfg.EjectVCsPerClass = ej
 				cfg.InjectionRate = 0.12
 				cfg.SimCycles = 5000
-				res, err := seec.RunSynthetic(cfg)
+				res, err := seec.RunSyntheticCtx(context.Background(), cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -176,7 +177,7 @@ func BenchmarkAblationOldestFirst(b *testing.B) {
 				cfg.OldestFirst = oldest
 				cfg.InjectionRate = 0.12
 				cfg.SimCycles = 5000
-				res, err := seec.RunSynthetic(cfg)
+				res, err := seec.RunSyntheticCtx(context.Background(), cfg)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -1,6 +1,7 @@
 package seec_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -61,7 +62,7 @@ func TestLatencyCurveMonotoneLoadEffect(t *testing.T) {
 	cfg.Rows, cfg.Cols = 4, 4
 	cfg.Scheme = seec.SchemeSEEC
 	cfg.SimCycles = 8000
-	pts, err := seec.LatencyCurve(cfg, []float64{0.01, 0.12})
+	pts, err := seec.LatencyCurveCtx(context.Background(), cfg, []float64{0.01, 0.12}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestResultRowRendering(t *testing.T) {
 	cfg := seec.DefaultConfig()
 	cfg.Rows, cfg.Cols = 4, 4
 	cfg.SimCycles = 2000
-	res, err := seec.RunSynthetic(cfg)
+	res, err := seec.RunSyntheticCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

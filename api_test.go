@@ -1,6 +1,7 @@
 package seec_test
 
 import (
+	"context"
 	"testing"
 
 	"seec"
@@ -15,7 +16,7 @@ func TestRunSyntheticAllSchemes(t *testing.T) {
 		cfg.Scheme = scheme
 		cfg.InjectionRate = 0.05
 		cfg.SimCycles = 8000
-		res, err := seec.RunSynthetic(cfg)
+		res, err := seec.RunSyntheticCtx(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", scheme, err)
 		}
@@ -45,7 +46,7 @@ func TestSaturationThroughputRuns(t *testing.T) {
 	cfg.Scheme = seec.SchemeSEEC
 	cfg.VCsPerVNet = 2
 	cfg.SimCycles = 6000
-	sat, res, err := seec.SaturationThroughput(cfg)
+	sat, res, err := seec.SaturationThroughputWith(context.Background(), cfg, 0, seec.RunSyntheticCtx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestRunApplicationAPI(t *testing.T) {
 	cfg.Rows, cfg.Cols = 4, 4
 	cfg.Scheme = seec.SchemeSEEC
 	cfg.VCsPerVNet = 2
-	res, err := seec.RunApplication(cfg, "canneal", 3000, 2_000_000)
+	res, err := seec.RunApplicationCtx(context.Background(), cfg, "canneal", 3000, 2_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}

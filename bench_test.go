@@ -61,7 +61,6 @@ func BenchmarkFig8_LatencyCurves(b *testing.B) {
 // the deflection schemes falling back to independent runs).
 func BenchmarkFig8_LatencyCurvesShared(b *testing.B) {
 	s := benchScale()
-	s.WarmupShare = true
 	for i := 0; i < b.N; i++ {
 		p, err := plan.New(plan.Options{Workers: s.Workers, WarmupShare: true})
 		if err != nil {
@@ -81,7 +80,6 @@ func BenchmarkFig8_LatencyCurvesShared(b *testing.B) {
 func planFigs(b *testing.B, dir string, share bool) *plan.Planner {
 	b.Helper()
 	s := benchScale()
-	s.WarmupShare = share
 	p, err := plan.New(plan.Options{Workers: s.Workers, WarmupShare: share, CacheDir: dir})
 	if err != nil {
 		b.Fatal(err)
@@ -143,7 +141,7 @@ func BenchmarkFig10a_FFFraction(b *testing.B) {
 	cfg.SimCycles = 5000
 	var frac float64
 	for i := 0; i < b.N; i++ {
-		res, err := seec.RunSynthetic(cfg)
+		res, err := seec.RunSyntheticCtx(context.Background(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -161,7 +159,7 @@ func BenchmarkFig10b_LatencyBreakdown(b *testing.B) {
 	cfg.SimCycles = 5000
 	var free float64
 	for i := 0; i < b.N; i++ {
-		res, err := seec.RunSynthetic(cfg)
+		res, err := seec.RunSyntheticCtx(context.Background(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -237,7 +235,7 @@ func BenchmarkTable3_SeekBounds(b *testing.B) {
 }
 
 // benchCurve is the shared workload for the serial-vs-parallel
-// LatencyCurve pair: one full Fig. 8-style rate sweep.
+// seec.LatencyCurveCtx pair: one full Fig. 8-style rate sweep.
 func benchCurve(b *testing.B, workers int) {
 	cfg := seec.DefaultConfig()
 	cfg.Rows, cfg.Cols = 4, 4

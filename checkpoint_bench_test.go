@@ -7,6 +7,7 @@ package seec_test
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"seec"
@@ -31,7 +32,7 @@ func warmupForkCfg() seec.Config {
 
 // BenchmarkWarmupFork compares the two ways to produce a rate sweep:
 // "shared" warms one simulation and forks every rate point from the
-// in-memory checkpoint (seec.RunSyntheticForked); "independent" pays
+// in-memory checkpoint (seec.RunSyntheticForkedCtx); "independent" pays
 // the full warmup once per rate point. Same measured cycles per point
 // either way, so the ns/op gap is the amortized warmup.
 func BenchmarkWarmupFork(b *testing.B) {
@@ -42,7 +43,7 @@ func BenchmarkWarmupFork(b *testing.B) {
 			forks[i] = seec.Fork{Rate: r}
 		}
 		for i := 0; i < b.N; i++ {
-			res, err := seec.RunSyntheticForked(cfg, forks)
+			res, err := seec.RunSyntheticForkedCtx(context.Background(), cfg, forks, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -56,7 +57,7 @@ func BenchmarkWarmupFork(b *testing.B) {
 			for _, rate := range warmupForkRates {
 				cfg := warmupForkCfg()
 				cfg.InjectionRate = rate
-				if _, err := seec.RunSynthetic(cfg); err != nil {
+				if _, err := seec.RunSyntheticCtx(context.Background(), cfg); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -376,7 +376,7 @@ func TestStopCIObservesOnly(t *testing.T) {
 	// poll, so MinBatches needs > 10 * 1024 measured cycles.
 	cfg.SimCycles = 15000
 
-	fixed, err := seec.RunSynthetic(cfg)
+	fixed, err := seec.RunSyntheticCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +386,7 @@ func TestStopCIObservesOnly(t *testing.T) {
 
 	tight := cfg
 	tight.StopCI = 1e-12 // unreachable: runs the full fixed-cycle schedule
-	got, err := seec.RunSynthetic(tight)
+	got, err := seec.RunSyntheticCtx(context.Background(), tight)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,11 +406,11 @@ func TestStopCIObservesOnly(t *testing.T) {
 	// A reachable target stops early — and deterministically.
 	loose := cfg
 	loose.StopCI = 0.5
-	a, err := seec.RunSynthetic(loose)
+	a, err := seec.RunSyntheticCtx(context.Background(), loose)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := seec.RunSynthetic(loose)
+	b, err := seec.RunSyntheticCtx(context.Background(), loose)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +456,7 @@ func TestStopCICoverage(t *testing.T) {
 			ciCfg.Seed = uint64(i + 1)
 			ciCfg.StopCI = 0.05
 			ciCfg.SimCycles = 60000 // generous cap; the stopper ends runs long before
-			res, err := seec.RunSynthetic(ciCfg)
+			res, err := seec.RunSyntheticCtx(context.Background(), ciCfg)
 			if err != nil {
 				errs[i] = err
 				return
@@ -464,7 +464,7 @@ func TestStopCICoverage(t *testing.T) {
 			refCfg := base
 			refCfg.Seed = uint64(i + 1)
 			refCfg.SimCycles = 30000
-			ref, err := seec.RunSynthetic(refCfg)
+			ref, err := seec.RunSyntheticCtx(context.Background(), refCfg)
 			if err != nil {
 				errs[i] = err
 				return
@@ -516,12 +516,12 @@ func TestWarmupFork(t *testing.T) {
 	cfg.SimCycles = 1200
 	cfg.Warmup = 300
 
-	ref, err := seec.RunSynthetic(cfg)
+	ref, err := seec.RunSyntheticCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	forks := []seec.Fork{{}, {Seed: 99}, {Rate: 0.18}}
-	res, err := seec.RunSyntheticForked(cfg, forks)
+	res, err := seec.RunSyntheticForkedCtx(context.Background(), cfg, forks, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -567,7 +567,7 @@ func TestRunnerRetryResume(t *testing.T) {
 	cfg.SimCycles = 1500
 	cfg.Warmup = 300
 
-	ref, err := seec.RunSynthetic(cfg)
+	ref, err := seec.RunSyntheticCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,14 +27,12 @@ import (
 
 	"seec"
 	"seec/internal/plan"
-	"seec/internal/runner"
 )
 
 func main() {
 	mesh := flag.String("mesh", "8x8", `"8x8" or "both" (adds 16x16)`)
 	cycles := flag.Int64("sim-cycles", 10000, "measured cycles per point")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "simulations to run concurrently (output is identical at any value)")
-	planOn := flag.Bool("plan", true, "route the sweep through the memoizing planner (dedup, content-addressed caching, cost-model dispatch); output is byte-identical with planning on or off")
 	cacheDir := flag.String("cache-dir", "", "persist simulation results in this content-addressed cache directory; warm re-runs resolve from it without simulating")
 	noReuse := flag.Bool("no-reuse", false, "keep the planner's scheduling but disable dedup and caching (A/B baseline)")
 	warmupShare := flag.Bool("warmup-share", false, "fork each (mesh, pattern, scheme) curve's rate points from one shared warm checkpoint; changes the sampling plan, so numbers differ statistically from the default path")
@@ -48,12 +46,13 @@ func main() {
 	case "both":
 		sizes = append(sizes, 16)
 	default:
-		fmt.Fprintf(os.Stderr, "ae-sc2021: -mesh %q: want 8x8 or both\n", *mesh)
-		os.Exit(2)
+		usage("-mesh %q: want 8x8 or both", *mesh)
 	}
-	if !*planOn && (*cacheDir != "" || *noReuse || *warmupShare) {
-		fmt.Fprintln(os.Stderr, "ae-sc2021: -cache-dir, -no-reuse and -warmup-share need the planner; drop -plan=false")
-		os.Exit(2)
+	switch {
+	case *jobs < 0:
+		usage("-j %d: worker count must be non-negative", *jobs)
+	case *cycles < 0:
+		usage("-sim-cycles %d: must be non-negative", *cycles)
 	}
 
 	if *cpuprofile != "" {
@@ -90,13 +89,12 @@ func main() {
 	patterns := []string{"bit_rotation", "shuffle", "transpose"}
 	rates := []float64{0.02, 0.05, 0.08, 0.11, 0.14, 0.17, 0.20}
 
-	// Seeds stay underived here: both paths derive each point's seed
-	// from its own coordinates (Config.SweepSeed) at execution time, so
-	// the planned and direct sweeps emit identical lines. Schemes here
-	// are all scheme-default routing on the standard config, so the
-	// curve grouping the planner needs (identical but for rate) falls
-	// out of the sweep-order config list directly.
-	var cfgs []seec.Config
+	// Seeds stay underived here: the planner derives each point's seed
+	// from its own coordinates (Config.SweepSeed) at execution time.
+	// Schemes here are all scheme-default routing on the standard
+	// config, so the curve grouping -warmup-share needs (identical but
+	// for rate) falls out of the sweep-order config list directly.
+	var jobList []plan.Job
 	for _, k := range sizes {
 		for _, pat := range patterns {
 			for _, scheme := range schemes {
@@ -107,61 +105,47 @@ func main() {
 					cfg.Pattern = pat
 					cfg.InjectionRate = rate
 					cfg.SimCycles = *cycles
-					cfgs = append(cfgs, cfg)
+					jobList = append(jobList, plan.Job{Cfg: cfg, DeriveSeed: true})
 				}
 			}
 		}
 	}
-	format := func(cfg seec.Config, res seec.Result, err error) string {
-		if err != nil {
-			return fmt.Sprintf("# %v", err)
-		}
-		return fmt.Sprintf("mesh=%dx%d synthetic=%s scheme=%s injectionrate=%.2f average_packet_latency=%.3f reception_rate=%.4f",
-			cfg.Rows, cfg.Cols, cfg.Pattern, cfg.Scheme, cfg.InjectionRate,
-			res.AvgLatency, res.ThroughputPackets)
+	p, err := plan.New(plan.Options{
+		Workers:     *jobs,
+		WarmupShare: *warmupShare,
+		NoReuse:     *noReuse,
+		CacheDir:    *cacheDir,
+	})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ae-sc2021: plan: %v\n", err)
+		os.Exit(1)
 	}
-	if *planOn {
-		p, err := plan.New(plan.Options{
-			Workers:     *jobs,
-			WarmupShare: *warmupShare,
-			NoReuse:     *noReuse,
-			CacheDir:    *cacheDir,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ae-sc2021: plan: %v\n", err)
-			os.Exit(1)
+	for i, o := range p.Run(context.Background(), jobList, seec.RunSyntheticCtx) {
+		cfg := jobList[i].Cfg
+		switch {
+		case !o.Done:
+			fmt.Println("# cancelled")
+		case o.Err != nil:
+			fmt.Printf("# %v\n", o.Err)
+		default:
+			fmt.Printf("mesh=%dx%d synthetic=%s scheme=%s injectionrate=%.2f average_packet_latency=%.3f reception_rate=%.4f\n",
+				cfg.Rows, cfg.Cols, cfg.Pattern, cfg.Scheme, cfg.InjectionRate,
+				o.Result.AvgLatency, o.Result.ThroughputPackets)
 		}
-		pjobs := make([]plan.Job, len(cfgs))
-		for i, cfg := range cfgs {
-			pjobs[i] = plan.Job{Cfg: cfg, DeriveSeed: true}
-		}
-		outs := p.Run(context.Background(), pjobs, func(ctx context.Context, cfg seec.Config) (seec.Result, error) {
-			return seec.RunSyntheticCtx(ctx, cfg)
-		})
-		for i, o := range outs {
-			if !o.Done {
-				fmt.Println("# cancelled")
-				continue
-			}
-			fmt.Println(format(cfgs[i], o.Result, o.Err))
-		}
-		st := p.Stats()
-		fmt.Fprintf(os.Stderr,
-			"ae-sc2021: plan: jobs=%d reused=%d simulated=%d families=%d warmup-saved=%d fallbacks=%d\n",
-			st.Jobs, st.Reused(), st.Simulated, st.WarmupFamilies,
-			st.WarmupCyclesSaved, st.WarmupFallbacks)
-		if err := p.WriteManifest("ae-sc2021", os.Args[1:]); err != nil {
-			fmt.Fprintf(os.Stderr, "ae-sc2021: plan manifest: %v\n", err)
-		}
-		return
 	}
-	lines, _ := runner.Sweep(context.Background(), cfgs,
-		func(_ context.Context, cfg seec.Config) (string, error) {
-			cfg.Seed = cfg.SweepSeed()
-			res, err := seec.RunSynthetic(cfg)
-			return format(cfg, res, err), nil
-		}, runner.WithWorkers(*jobs))
-	for _, line := range lines {
-		fmt.Println(line)
+	st := p.Stats()
+	fmt.Fprintf(os.Stderr,
+		"ae-sc2021: plan: jobs=%d reused=%d simulated=%d families=%d warmup-saved=%d fallbacks=%d\n",
+		st.Jobs, st.Reused(), st.Simulated, st.WarmupFamilies,
+		st.WarmupCyclesSaved, st.WarmupFallbacks)
+	if err := p.WriteManifest("ae-sc2021", os.Args[1:]); err != nil {
+		fmt.Fprintf(os.Stderr, "ae-sc2021: plan manifest: %v\n", err)
 	}
+}
+
+// usage reports a command-line validation failure and exits with the
+// conventional usage status.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "ae-sc2021: "+format+"\n", args...)
+	os.Exit(2)
 }

@@ -44,14 +44,17 @@ func runAE(t *testing.T, args ...string) (stdout, stderr string, code int) {
 
 // TestUsageErrors: a bad command line exits 2 before any simulation
 // runs. -mesh accepts only "8x8" and "both"; any other value, 16x16
-// included, must not fall back to the 8x8 sweep.
+// included, must not fall back to the 8x8 sweep. A negative -j must not
+// fall back to every core, and a negative -sim-cycles must not print a
+// zero-latency line per run.
 func TestUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-mesh", "16x16"},
 		{"-mesh", "4x4"},
 		{"-mesh", ""},
 		{"-mesh", "Both"},
-		{"-plan=false", "-no-reuse"},
+		{"-j", "-1"},
+		{"-sim-cycles", "-5"},
 	} {
 		stdout, stderr, code := runAE(t, args...)
 		if code != 2 {

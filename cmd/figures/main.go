@@ -40,8 +40,7 @@ func main() {
 	watchdogWin := flag.Int64("watchdog", 0, "dump a network snapshot to stderr after this many cycles without an ejection (works at any -j)")
 	jobTimeout := flag.Duration("job-timeout", 0, "wall-time budget per simulation cell; cells past it render as error cells (0 = unbounded)")
 	maxFailures := flag.Int("max-failures", 0, "cancel a figure's remaining cells after this many failures (0 = drain everything, report at the end)")
-	warmupShare := flag.Bool("warmup-share", false, "amortize warmup across rate sweeps: warm each curve once, checkpoint in memory, fork every rate point from the shared warm state; changes the sampling plan, so numbers differ statistically from the default path")
-	planOn := flag.Bool("plan", true, "compile each figure's cells into a reuse-aware schedule (memoizing sweep planner): in-batch dedup, content-addressed caching and cost-model dispatch; output is byte-identical with planning on or off")
+	warmupShare := flag.Bool("warmup-share", false, "amortize warmup across rate sweeps: warm each curve once, checkpoint in memory, fork every rate point from the shared warm state; changes the sampling plan, so numbers differ statistically from the default path; not with -trace, -trace-events, -metrics-out or -watchdog")
 	cacheDir := flag.String("cache-dir", "", "persist simulation results in this content-addressed cache directory (the seecd store layout); warm re-runs resolve from it without simulating")
 	noReuse := flag.Bool("no-reuse", false, "keep the planner's cost-model scheduling but disable dedup and caching, so every cell simulates (A/B baseline)")
 	statusAddr := flag.String("status", "", "serve live sweep telemetry over HTTP on this address (/status, /metrics, /debug/pprof); \":0\" picks a free port, printed on stderr")
@@ -64,8 +63,10 @@ func main() {
 		usage("-watchdog %d: the stall threshold must be non-negative", *watchdogWin)
 	case *progress < 0:
 		usage("-progress %v: must be non-negative", *progress)
-	case !*planOn && (*cacheDir != "" || *noReuse):
-		usage("-cache-dir and -no-reuse need the planner; drop -plan=false")
+	case *warmupShare && (*tracePath != "" || *eventsPath != "" || *metricsOut != "" || *watchdogWin > 0):
+		// Instrumented runs never fork, so adding an instrument flag to
+		// a -warmup-share run would silently change its numbers.
+		usage("-warmup-share cannot be combined with -trace, -trace-events, -metrics-out or -watchdog: instrumented runs never fork")
 	}
 
 	if *cpuprofile != "" {
@@ -110,7 +111,6 @@ func main() {
 	sc.Workers = *jobs
 	sc.JobTimeout = *jobTimeout
 	sc.MaxFailures = *maxFailures
-	sc.WarmupShare = *warmupShare
 
 	// Live sweep telemetry: event bus + aggregator, optionally served
 	// over HTTP and/or logged as JSONL. Pure observation — tables are
@@ -177,34 +177,29 @@ func main() {
 	}
 
 	// The sweep planner: constructed after the scale is final so its
-	// worker pool and telemetry wiring match the cells it replaces.
-	// Scale.planner() ignores it while file-producing instrumentation
-	// is attached (cache hits execute nothing, which would drop trace
-	// artifacts).
-	var planner *plan.Planner
-	if *planOn {
-		po := plan.Options{
-			Workers:       sc.Workers,
-			JobTimeout:    sc.JobTimeout,
-			MaxFailures:   sc.MaxFailures,
-			WarmupShare:   sc.WarmupShare,
-			NoReuse:       *noReuse,
-			CacheDir:      *cacheDir,
-			Bus:           sc.SweepEvents,
-			Progress:      sc.Progress,
-			ProgressEvery: sc.ProgressEvery,
-		}
-		if tel != nil {
-			po.Agg = tel.Agg
-		}
-		p, err := plan.New(po)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "figures: plan: %v\n", err)
-			os.Exit(1)
-		}
-		planner = p
-		sc.Planner = p
+	// worker pool and telemetry wiring match the scale's. An
+	// instrumented scale does not use it: its runs go through a fresh
+	// planner that neither reuses nor forks (exp.Scale.Planner).
+	po := plan.Options{
+		Workers:       sc.Workers,
+		JobTimeout:    sc.JobTimeout,
+		MaxFailures:   sc.MaxFailures,
+		WarmupShare:   *warmupShare,
+		NoReuse:       *noReuse,
+		CacheDir:      *cacheDir,
+		Bus:           sc.SweepEvents,
+		Progress:      sc.Progress,
+		ProgressEvery: sc.ProgressEvery,
 	}
+	if tel != nil {
+		po.Agg = tel.Agg
+	}
+	planner, err := plan.New(po)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "figures: plan: %v\n", err)
+		os.Exit(1)
+	}
+	sc.Planner = planner
 
 	gens := map[string]func() []*exp.Table{
 		"7":          func() []*exp.Table { return []*exp.Table{exp.Fig7()} },
@@ -248,15 +243,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "[fig %s done in %v]\n", id, time.Since(start).Round(time.Millisecond))
 	}
 
-	if planner != nil {
-		st := planner.Stats()
-		fmt.Fprintf(os.Stderr,
-			"figures: plan: jobs=%d reused=%d simulated=%d families=%d warmup-saved=%d fallbacks=%d quarantined=%d\n",
-			st.Jobs, st.Reused(), st.Simulated, st.WarmupFamilies,
-			st.WarmupCyclesSaved, st.WarmupFallbacks, st.Quarantined)
-		if err := planner.WriteManifest("figures", os.Args[1:]); err != nil {
-			fmt.Fprintf(os.Stderr, "figures: plan manifest: %v\n", err)
-		}
+	st := planner.Stats()
+	fmt.Fprintf(os.Stderr,
+		"figures: plan: jobs=%d reused=%d simulated=%d families=%d warmup-saved=%d fallbacks=%d quarantined=%d\n",
+		st.Jobs, st.Reused(), st.Simulated, st.WarmupFamilies,
+		st.WarmupCyclesSaved, st.WarmupFallbacks, st.Quarantined)
+	if err := planner.WriteManifest("figures", os.Args[1:]); err != nil {
+		fmt.Fprintf(os.Stderr, "figures: plan manifest: %v\n", err)
 	}
 }
 

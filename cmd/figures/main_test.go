@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -88,6 +89,8 @@ func TestGoldenOutputWorkerIndependent(t *testing.T) {
 
 // TestCLIRejectsBadFlags: unknown figures and scales must exit
 // non-zero (the AE scripts depend on loud failures, not empty output).
+// -warmup-share with an instrument flag is a usage error (exit 2):
+// instrumented runs never fork, so the flag would change the numbers.
 func TestCLIRejectsBadFlags(t *testing.T) {
 	exe, err := os.Executable()
 	if err != nil {
@@ -104,11 +107,20 @@ func TestCLIRejectsBadFlags(t *testing.T) {
 		{"-fig", "7", "-watchdog", "-5"},
 		{"-fig", "7", "-progress", "-1s"},
 		{"-fig", "7", "-status", "256.256.256.256:99999"},
+		{"-fig", "7", "-warmup-share", "-watchdog", "100"},
+		{"-fig", "7", "-warmup-share", "-trace", filepath.Join(t.TempDir(), "t.json")},
 	} {
 		cmd := exec.Command(exe, args...)
 		cmd.Env = append(os.Environ(), mainEnv+"=1")
-		if err := cmd.Run(); err == nil {
+		err := cmd.Run()
+		if err == nil {
 			t.Errorf("figures %v unexpectedly succeeded", args)
+			continue
+		}
+		if slices.Contains(args, "-warmup-share") {
+			if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+				t.Errorf("figures %v: %v, want usage error 2", args, err)
+			}
 		}
 	}
 }

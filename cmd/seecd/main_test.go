@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -213,7 +214,7 @@ func TestSeecdCrashRestartResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := seec.RunSynthetic(sp.Configs()[0])
+	want, err := seec.RunSyntheticCtx(context.Background(), sp.Configs()[0])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -184,7 +185,7 @@ func main() {
 
 	switch {
 	case *app != "":
-		res, err := seec.RunApplication(cfg, *app, *txns, 50_000_000)
+		res, err := seec.RunApplicationCtx(context.Background(), cfg, *app, *txns, 50_000_000)
 		fail(err)
 		fmt.Printf("app=%s scheme=%s runtime=%d cycles\n", res.App, res.Scheme, res.Runtime)
 		fmt.Printf("average_packet_latency=%.3f\n", res.AvgLatency)
@@ -195,11 +196,11 @@ func main() {
 			os.Exit(1)
 		}
 	case *satSearch:
-		sat, last, err := seec.SaturationThroughput(cfg)
+		sat, last, err := seec.SaturationThroughputWith(context.Background(), cfg, 0, seec.RunSyntheticCtx)
 		fail(err)
 		fmt.Printf("saturation_throughput=%.4f packets/node/cycle (avg latency %.1f at that rate)\n", sat, last.AvgLatency)
 	default:
-		res, err := seec.RunSynthetic(cfg)
+		res, err := seec.RunSyntheticCtx(context.Background(), cfg)
 		fail(err)
 		fmt.Printf("scheme=%s pattern=%s rate=%.3f mesh=%dx%d vcs=%d\n",
 			cfg.Scheme, cfg.Pattern, cfg.InjectionRate, rows, cols, *vcs)

@@ -1,6 +1,7 @@
 package seec_test
 
 import (
+	"context"
 	"testing"
 
 	"seec"
@@ -21,7 +22,7 @@ func TestSchemeDefaultRouting(t *testing.T) {
 		cfg.Pattern = "transpose"
 		cfg.InjectionRate = rate
 		cfg.SimCycles = 6000
-		res, err := seec.RunSynthetic(cfg)
+		res, err := seec.RunSyntheticCtx(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,7 +45,7 @@ func TestVNetDefaults(t *testing.T) {
 	base.Scheme = seec.SchemeXY
 	base.VCsPerVNet = 2
 
-	res, err := seec.RunApplication(base, "stress", 3000, 2_000_000)
+	res, err := seec.RunApplicationCtx(context.Background(), base, "stress", 3000, 2_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func TestVNetDefaults(t *testing.T) {
 
 	collapsed := base
 	collapsed.VNets = 1
-	res, err = seec.RunApplication(collapsed, "stress", 3000, 2_000_000)
+	res, err = seec.RunApplicationCtx(context.Background(), collapsed, "stress", 3000, 2_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestSeedChangesOutcome(t *testing.T) {
 		cfg.Seed = seed
 		cfg.InjectionRate = 0.2
 		cfg.SimCycles = 3000
-		res, err := seec.RunSynthetic(cfg)
+		res, err := seec.RunSyntheticCtx(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

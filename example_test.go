@@ -1,20 +1,21 @@
 package seec_test
 
 import (
+	"context"
 	"fmt"
 
 	"seec"
 )
 
-// ExampleRunSynthetic demonstrates the one-call entry point.
-func ExampleRunSynthetic() {
+// ExampleRunSyntheticCtx demonstrates the one-call entry point.
+func ExampleRunSyntheticCtx() {
 	cfg := seec.DefaultConfig()
 	cfg.Rows, cfg.Cols = 4, 4
 	cfg.Scheme = seec.SchemeSEEC
 	cfg.Pattern = "transpose"
 	cfg.InjectionRate = 0.05
 	cfg.SimCycles = 5000
-	res, err := seec.RunSynthetic(cfg)
+	res, err := seec.RunSyntheticCtx(context.Background(), cfg)
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -41,14 +42,15 @@ func ExampleNewSim() {
 	// Output: true true
 }
 
-// ExampleSaturationThroughput shows the Fig. 9 measurement primitive.
-func ExampleSaturationThroughput() {
+// ExampleSaturationThroughputWith shows the Fig. 9 measurement
+// primitive, each probe run directly by seec.RunSyntheticCtx.
+func ExampleSaturationThroughputWith() {
 	cfg := seec.DefaultConfig()
 	cfg.Rows, cfg.Cols = 4, 4
 	cfg.Scheme = seec.SchemeXY
 	cfg.Pattern = "uniform_random"
 	cfg.SimCycles = 3000
-	sat, _, err := seec.SaturationThroughput(cfg)
+	sat, _, err := seec.SaturationThroughputWith(context.Background(), cfg, 0, seec.RunSyntheticCtx)
 	if err != nil {
 		fmt.Println("error:", err)
 		return

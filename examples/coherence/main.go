@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -37,7 +38,7 @@ func main() {
 		{"XY, 6 VNets x 2 VC (conventional)", sixVN},
 		{"SEEC, 1 VNet x 2 VC (1/6th buffers)", oneVN},
 	} {
-		res, err := seec.RunApplication(v.cfg, app, txns, 20_000_000)
+		res, err := seec.RunApplicationCtx(context.Background(), v.cfg, app, txns, 20_000_000)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -18,7 +19,7 @@ func run(oldest bool) seec.Result {
 	cfg.Pattern = "uniform_random"
 	cfg.InjectionRate = 0.12 // around the saturation knee
 	cfg.SimCycles = 15000
-	res, err := seec.RunSynthetic(cfg)
+	res, err := seec.RunSyntheticCtx(context.Background(), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

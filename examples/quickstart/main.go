@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,7 +17,7 @@ func main() {
 	cfg.InjectionRate = 0.10
 	cfg.SimCycles = 20000
 
-	res, err := seec.RunSynthetic(cfg)
+	res, err := seec.RunSyntheticCtx(context.Background(), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

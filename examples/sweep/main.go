@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -29,7 +30,7 @@ func main() {
 			cfg.Pattern = "transpose"
 			cfg.InjectionRate = rate
 			cfg.SimCycles = 10000
-			res, err := seec.RunSynthetic(cfg)
+			res, err := seec.RunSyntheticCtx(context.Background(), cfg)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -2,6 +2,7 @@ package seec
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -29,13 +30,13 @@ func faultCfg() Config {
 // that shipping the fault subsystem changes nothing until it is used.
 func TestZeroFaultSpecMatchesBaseline(t *testing.T) {
 	base := faultCfg()
-	res1, err := RunSynthetic(base)
+	res1, err := RunSyntheticCtx(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	withLayer := base
 	withLayer.Faults = "link:0" // parses to the zero spec; injector attached but silent
-	res2, err := RunSynthetic(withLayer)
+	res2, err := RunSyntheticCtx(context.Background(), withLayer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,11 +58,11 @@ func TestZeroFaultSpecMatchesBaseline(t *testing.T) {
 func TestFaultedRunDeterministic(t *testing.T) {
 	cfg := faultCfg()
 	cfg.Faults = "link:0.002,corrupt:0.001,timeout:256,seed:5"
-	res1, err := RunSynthetic(cfg)
+	res1, err := RunSyntheticCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := RunSynthetic(cfg)
+	res2, err := RunSyntheticCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,7 +50,7 @@ func TestWarmupForkIdentityMatrix(t *testing.T) {
 				// fault layer does not apply; one fault-free leg pins the
 				// recorded-fallback contract.
 				cfg := matrixCfg(scheme, pattern, "")
-				_, err := seec.RunSyntheticForked(cfg, []seec.Fork{{}})
+				_, err := seec.RunSyntheticForkedCtx(context.Background(), cfg, []seec.Fork{{}}, 0)
 				if !errors.Is(err, checkpoint.ErrUnsupported) {
 					t.Errorf("%s/%s: deflection fork err = %v, want checkpoint.ErrUnsupported",
 						scheme, pattern, err)
@@ -66,11 +66,11 @@ func TestWarmupForkIdentityMatrix(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					t.Parallel()
 					cfg := matrixCfg(scheme, pattern, faults)
-					ref, err := seec.RunSynthetic(cfg)
+					ref, err := seec.RunSyntheticCtx(context.Background(), cfg)
 					if err != nil {
 						t.Fatalf("plain run: %v", err)
 					}
-					res, err := seec.RunSyntheticForked(cfg, []seec.Fork{{}})
+					res, err := seec.RunSyntheticForkedCtx(context.Background(), cfg, []seec.Fork{{}}, 0)
 					if err != nil {
 						t.Fatalf("forked run: %v", err)
 					}
@@ -114,15 +114,12 @@ func TestWarmupForkShardedIdentity(t *testing.T) {
 		}
 		want = append(want, res...)
 	}
-	run := func(ctx context.Context, cfg seec.Config) (seec.Result, error) {
-		return seec.RunSyntheticCtx(ctx, cfg)
-	}
 	for _, shards := range []int{0, 1, 4} {
 		p, err := plan.New(plan.Options{Workers: 2, Shards: shards, WarmupShare: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		outs := p.Run(ctx, jobs, run)
+		outs := p.Run(ctx, jobs, seec.RunSyntheticCtx)
 		for i, o := range outs {
 			if !o.Done || o.Err != nil {
 				t.Fatalf("shards=%d job %d: done=%v err=%v", shards, i, o.Done, o.Err)

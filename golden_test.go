@@ -1,6 +1,7 @@
 package seec_test
 
 import (
+	"context"
 	"testing"
 
 	"seec"
@@ -32,7 +33,7 @@ func TestGoldenDeterministicResults(t *testing.T) {
 		cfg.InjectionRate = tc.rate
 		cfg.SimCycles = 2000
 		cfg.Seed = 12345
-		res, err := seec.RunSynthetic(cfg)
+		res, err := seec.RunSyntheticCtx(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}

@@ -1,6 +1,7 @@
 package seec_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -127,7 +128,7 @@ func TestDeterminismAcrossSchemes(t *testing.T) {
 			cfg.Scheme = scheme
 			cfg.InjectionRate = 0.25
 			cfg.SimCycles = 4000
-			res, err := seec.RunSynthetic(cfg)
+			res, err := seec.RunSyntheticCtx(context.Background(), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -150,7 +151,7 @@ func TestDeflectionDeterminism(t *testing.T) {
 			cfg.Scheme = scheme
 			cfg.InjectionRate = 0.2
 			cfg.SimCycles = 4000
-			res, err := seec.RunSynthetic(cfg)
+			res, err := seec.RunSyntheticCtx(context.Background(), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

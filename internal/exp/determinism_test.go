@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"os"
 	"strings"
 	"testing"
 )
@@ -110,23 +111,43 @@ func TestFig14ParallelDeterminism(t *testing.T) {
 
 // TestFig8QuickScaleDeterminism is the full-strength contract check:
 // exp.Fig8 at the real Quick scale (the default CLI run: 4x4 and 8x8
-// meshes, all four patterns, every scheme) serially versus at -j 8.
-// It is the slowest test in the repository (two complete Fig. 8
-// regenerations), so it skips under -short and under -race; the
-// trimmed determinism tests above cover those configurations.
+// meshes, all four patterns, every scheme) at -j 8 must equal the fig8
+// tables of the checked-in results/figures_quick.txt, which
+// `make figures` rendered at another worker count. It is the slowest
+// test in the repository (a complete Fig. 8 regeneration), so it skips
+// under -short and under -race; the trimmed determinism tests above
+// cover those configurations.
 func TestFig8QuickScaleDeterminism(t *testing.T) {
 	if testing.Short() {
-		t.Skip("regenerates Fig. 8 at quick scale twice; skipped in -short")
+		t.Skip("regenerates Fig. 8 at quick scale; skipped in -short")
 	}
 	if raceEnabled {
 		t.Skip("too slow under the race detector; trimmed variants cover -race")
 	}
-	serial := Quick()
-	serial.Workers = 1
-	parallel := Quick()
-	parallel.Workers = 8
-	want := renderAll(Fig8(serial))
-	if got := renderAll(Fig8(parallel)); got != want {
-		t.Fatalf("Fig8(Quick()) serial vs -j 8 differ:\n%s", diffLine(want, got))
+	const record = "../../results/figures_quick.txt"
+	b, err := os.ReadFile(record)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The record's fig8 tables, each from its "== fig8:" line through
+	// the blank line Render ends it with.
+	var want strings.Builder
+	in := false
+	for _, line := range strings.SplitAfter(string(b), "\n") {
+		if strings.HasPrefix(line, "== fig8:") {
+			in = true
+		}
+		if in {
+			want.WriteString(line)
+		}
+		if line == "\n" {
+			in = false
+		}
+	}
+	s := Quick()
+	s.Workers = 8
+	if got := renderAll(Fig8(s)); got != want.String() {
+		t.Fatalf("Fig8(Quick()) at -j 8 differs from the fig8 tables of %s "+
+			"(run `make figures` if the change is intended):\n%s", record, diffLine(want.String(), got))
 	}
 }

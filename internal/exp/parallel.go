@@ -50,45 +50,35 @@ func cells[T any](s Scale, n int, fn func(ctx context.Context, i int) (T, error)
 }
 
 // simCells is cells for pure synthetic-simulation grids: the generator
-// hands over one Config per cell — seed left underived; the planner or
-// the fallback derives it via Config.SweepSeed(), the sweep convention
-// — plus a render function mapping each cell's (Result, error) to its
-// table value. With a planner attached (Scale.Planner) the whole grid
-// compiles into one reuse-aware schedule: in-batch dedup, cache
-// probes, warmup-prefix families and cost-sorted dispatch, all
-// byte-identity-preserving except the opt-in warmup sharing. Without
-// one it falls back to the classic per-cell fan-out through cells,
-// rendering identically. Cells cancelled before execution (breaker,
-// context) render as zero values on both paths.
+// hands over one Config per cell — seed left underived; the planner
+// derives it via Config.SweepSeed(), the sweep convention — plus a
+// render function mapping each cell's (Result, error) to its table
+// value. The whole grid compiles into one schedule on the scale's
+// planner (see Scale.planner): in-batch dedup, cache probes,
+// warmup-prefix families and cost-sorted dispatch, all
+// byte-identity-preserving except the opt-in warmup sharing. Cells
+// cancelled before execution (breaker, context) render as zero values,
+// and failed cells are reported by the same reportSweepError as cells'.
 func simCells[T any](s Scale, cfgs []seec.Config, render func(i int, res seec.Result, err error) T) []T {
-	p := s.planner()
-	if p == nil {
-		return cells(s, len(cfgs), func(ctx context.Context, i int) (T, error) {
-			c := cfgs[i]
-			c.Seed = c.SweepSeed()
-			res, err := s.runSynthetic(ctx, c)
-			return render(i, res, err), err
-		})
-	}
 	jobs := make([]plan.Job, len(cfgs))
 	for i, c := range cfgs {
 		jobs[i] = plan.Job{Cfg: c, DeriveSeed: true}
 	}
-	outs := p.Run(context.Background(), jobs, s.runSyntheticDirect)
+	outs := s.planner().Run(context.Background(), jobs, s.runSyntheticDirect)
 	out := make([]T, len(cfgs))
-	failed := 0
+	var failed []*runner.JobError
 	for i, o := range outs {
 		if !o.Done {
-			continue // cancelled before executing: zero cell, like the breaker path
+			continue // cancelled before executing: zero cell
 		}
 		if o.Err != nil {
-			failed++
-			fmt.Fprintf(os.Stderr, "exp: cell %d failed: %v\n", i, o.Err)
+			// The planner never retries, so every failure took one attempt.
+			failed = append(failed, &runner.JobError{Index: i, Err: o.Err, Attempts: 1, Elapsed: o.Elapsed})
 		}
 		out[i] = render(i, o.Result, o.Err)
 	}
-	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "exp: %d/%d cells failed\n", failed, len(cfgs))
+	if len(failed) > 0 {
+		reportSweepError(os.Stderr, &runner.SweepError{Failures: failed, Jobs: len(cfgs)})
 	}
 	return out
 }

@@ -3,10 +3,15 @@ package exp
 import (
 	"context"
 	"errors"
+	"io"
+	"os"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"seec"
 )
 
 // resScale keeps the resilience sweep (25 cells) test-sized.
@@ -130,5 +135,63 @@ func TestCellsMaxFailures(t *testing.T) {
 	// The tail was cancelled before running.
 	if got := strings.Count(strings.Join(vals, "|"), "cell"); got != ran {
 		t.Fatalf("%d rendered cells for %d runs", got, ran)
+	}
+}
+
+// captureStderr returns what fn writes to os.Stderr.
+func captureStderr(t *testing.T, fn func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stderr
+	os.Stderr = w
+	done := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		done <- b
+	}()
+	fn()
+	os.Stderr = saved
+	w.Close()
+	return string(<-done)
+}
+
+// TestFailureReportsShareOneForm: a failed simulation cell (simCells,
+// through the planner) and a failed generic cell (cells, through the
+// runner) report in one form — cell index, attempts, elapsed time and
+// unwrapped cause, then the aggregate count.
+func TestFailureReportsShareOneForm(t *testing.T) {
+	form := regexp.MustCompile(`^exp: cell 1 failed after 1 attempt\(s\) in [0-9.]+[µnm]?s: (.+)\nexp: 1/2 cells failed\n$`)
+	bad := seec.DefaultConfig()
+	bad.Rows, bad.Cols = 4, 4
+	bad.Scheme = "no-such-scheme"
+	ok := bad
+	ok.Scheme = seec.SchemeXY
+	ok.SimCycles = 200
+	sim := captureStderr(t, func() {
+		simCells(Scale{Workers: 2}, []seec.Config{ok, bad}, func(_ int, _ seec.Result, err error) string {
+			return latencyCell(seec.Result{}, err)
+		})
+	})
+	gen := captureStderr(t, func() {
+		cells(Scale{Workers: 2}, 2, func(_ context.Context, i int) (string, error) {
+			if i == 1 {
+				return "err", errors.New("cell broke")
+			}
+			return "ok", nil
+		})
+	})
+	for _, c := range []struct{ path, out, cause string }{
+		{"simCells", sim, "no-such-scheme"},
+		{"cells", gen, "cell broke"},
+	} {
+		m := form.FindStringSubmatch(c.out)
+		if m == nil {
+			t.Errorf("%s failure report %q does not match %s", c.path, c.out, form)
+		} else if !strings.Contains(m[1], c.cause) {
+			t.Errorf("%s failure cause %q does not name %q", c.path, m[1], c.cause)
+		}
 	}
 }

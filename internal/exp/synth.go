@@ -2,11 +2,9 @@ package exp
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"seec"
-	"seec/internal/checkpoint"
 )
 
 // synthCfg builds a synthetic-run config for the standard Fig. 8 setup
@@ -39,18 +37,14 @@ func fig8Patterns() []string {
 // average packet latency in cycles ("sat" once past saturation or
 // stalled). Run with 4 VCs per input port as in the paper. Every cell
 // — across tables, rows and scheme columns — is an independent
-// simulation, so the whole figure fans out as one flat job list.
+// simulation, so the whole figure fans out as one flat job list. Under
+// a planner with WarmupShare, each (mesh, pattern, scheme) curve is one
+// warmup family; the row-major order below submits each curve's
+// members in rate order, which fixes its base (mid-rate member) and
+// fork order.
 func Fig8(s Scale) []*Table {
 	schemes := fig8Schemes()
 	pats := fig8Patterns()
-	if s.WarmupShare && s.planner() == nil {
-		// Legacy warmup-fork path. With a planner attached the same
-		// sharing happens through the planner's family grouping below:
-		// row-major submission order puts each curve's members in rate
-		// order, so the family base (mid member) and fork order
-		// reproduce this path's convention byte-for-byte.
-		return fig8Tables(s, schemes, pats, fig8SharedCells(s, schemes, pats))
-	}
 	var cfgs []seec.Config
 	for _, k := range s.MeshSizes {
 		for _, pat := range pats {
@@ -66,99 +60,6 @@ func Fig8(s Scale) []*Table {
 	vals := simCells(s, cfgs, func(_ int, res seec.Result, err error) string {
 		return latencyCell(res, err)
 	})
-	return fig8Tables(s, schemes, pats, vals)
-}
-
-// fig8SharedCells computes Fig. 8's cells on the warmup-fork path: one
-// job per (mesh, pattern, scheme) curve, each warming a single
-// simulation and forking every rate point from the in-memory checkpoint
-// (Scale.WarmupShare). The returned slice uses the same cell order as
-// the independent path: k-major, then pattern, then rate, then scheme.
-func fig8SharedCells(s Scale, schemes []seec.Scheme, pats []string) []string {
-	type group struct {
-		k   int
-		pat string
-		sc  seec.Scheme
-	}
-	var groups []group
-	for _, k := range s.MeshSizes {
-		for _, pat := range pats {
-			for _, sc := range schemes {
-				groups = append(groups, group{k, pat, sc})
-			}
-		}
-	}
-	forks := make([]seec.Fork, len(s.Rates))
-	for j, rate := range s.Rates {
-		forks[j] = seec.Fork{Rate: rate}
-	}
-	curves := cells(s, len(groups), func(ctx context.Context, i int) ([]string, error) {
-		g := groups[i]
-		cfg := synthCfg(g.sc, g.k, 4, g.pat, s.SimCycles)
-		// Warm at the middle of the sweep so the shared state is a fair
-		// compromise for both ends of the curve.
-		cfg.InjectionRate = s.Rates[len(s.Rates)/2]
-		cfg.Seed = cfg.SweepSeed("warmup-share")
-		// Forks run serially: the cross-curve fan-out above already fills
-		// the worker pool.
-		results, err := seec.RunSyntheticForkedCtx(ctx, cfg, forks, 1)
-		if errors.Is(err, checkpoint.ErrUnsupported) {
-			// Deflection schemes cannot checkpoint; fall back to the
-			// independent per-rate runs for this curve.
-			return fig8IndependentCurve(ctx, s, g.sc, g.k, g.pat)
-		}
-		if err != nil {
-			row := make([]string, len(s.Rates))
-			for j := range row {
-				row[j] = "err"
-			}
-			return row, err
-		}
-		row := make([]string, len(results))
-		for j, res := range results {
-			row[j] = latencyCell(res, nil)
-		}
-		return row, nil
-	})
-	// Reorder curve-major cells into the row-major cell order the table
-	// assembly expects.
-	vals := make([]string, len(groups)*len(s.Rates))
-	for gi, curve := range curves {
-		k := gi / (len(pats) * len(schemes))
-		rem := gi % (len(pats) * len(schemes))
-		pi, si := rem/len(schemes), rem%len(schemes)
-		for ri := range s.Rates {
-			idx := ((k*len(pats)+pi)*len(s.Rates)+ri)*len(schemes) + si
-			if ri < len(curve) {
-				vals[idx] = curve[ri]
-			}
-		}
-	}
-	return vals
-}
-
-// fig8IndependentCurve runs one curve's rate points as independent
-// simulations with the standard per-point seeding — the WarmupShare
-// fallback for schemes that cannot checkpoint.
-func fig8IndependentCurve(ctx context.Context, s Scale, sc seec.Scheme, k int, pat string) ([]string, error) {
-	row := make([]string, len(s.Rates))
-	var firstErr error
-	for j, rate := range s.Rates {
-		cfg := synthCfg(sc, k, 4, pat, s.SimCycles)
-		cfg.InjectionRate = rate
-		cfg.Seed = cfg.SweepSeed()
-		res, err := s.runSynthetic(ctx, cfg)
-		row[j] = latencyCell(res, err)
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return row, firstErr
-}
-
-// fig8Tables folds the flat cell slice (k-major, then pattern, then
-// rate, then scheme) into one table per (mesh size, pattern).
-func fig8Tables(s Scale, schemes []seec.Scheme, pats []string, vals []string) []*Table {
 	var out []*Table
 	i := 0
 	for _, k := range s.MeshSizes {
@@ -237,26 +138,18 @@ func Fig9(s Scale) *Table {
 	}
 	// Parallelism lives at the cell level; each cell's saturation
 	// search runs its probes serially (workers=1) so the pool is not
-	// oversubscribed. The search result is identical either way. With a
-	// planner attached, every probe point resolves through its cache:
-	// the search's probe sequence is deterministic, so a repeated
-	// search replays entirely from cached points.
+	// oversubscribed. The search result is identical either way. Every
+	// probe resolves through the scale's planner with the scale's hooks
+	// and the cell's context: the search's probe sequence is
+	// deterministic, so a repeated search replays entirely from cached
+	// points.
 	vals := cells(s, len(coords), func(ctx context.Context, i int) (string, error) {
 		c := coords[i]
 		if c.sc == seec.SchemeEscape && c.vcs < 2 {
 			return "n/a", nil
 		}
 		cfg := synthCfg(c.sc, c.k, c.vcs, c.pat, s.SatCycles)
-		var sat float64
-		var err error
-		if p := s.planner(); p != nil {
-			sat, _, err = seec.SaturationThroughputWith(ctx, cfg, 1,
-				func(ctx context.Context, c seec.Config) (seec.Result, error) {
-					return p.RunOne(ctx, c, s.runSyntheticDirect)
-				})
-		} else {
-			sat, _, err = seec.SaturationThroughputCtx(ctx, cfg, 1)
-		}
+		sat, _, err := seec.SaturationThroughputWith(ctx, cfg, 1, s.runSynthetic)
 		if err != nil {
 			return "err", err
 		}

@@ -139,7 +139,8 @@ type Scale struct {
 	// Instrument is copied into the Config of every simulation a
 	// generator launches (see seec.Config.Instrument); cmd/figures uses
 	// it to attach tracers, metrics and watchdogs to figure runs.
-	// Observation only — rendered tables are identical either way.
+	// Observation only — rendered tables are identical either way, and
+	// an instrumented scale never reuses or forks a run (see planner).
 	Instrument func(*seec.Sim) func()
 
 	// SweepEvents, when non-nil, receives structured job-lifecycle
@@ -158,88 +159,73 @@ type Scale struct {
 	Progress      func(done, total int)
 	ProgressEvery time.Duration
 
-	// WarmupShare switches the rate-sweep generators (Fig. 8) to the
-	// warmup-fork path: each (mesh, pattern, scheme) curve warms up one
-	// simulation, checkpoints it in memory, and forks every rate point
-	// from the shared warm state (seec.RunSyntheticForkedCtx). This
-	// amortizes warmup across the sweep but changes the sampling plan —
-	// forks share warm state and seeds instead of owning independent
-	// SweepSeed streams — so the numbers differ (statistically, not
-	// qualitatively) from the default path. Still deterministic at any
-	// worker count. Deflection schemes are not checkpointable and fall
-	// back to independent runs.
-	WarmupShare bool
-
-	// Planner, when non-nil, routes every simulation a generator
-	// launches through the memoizing sweep planner (internal/plan):
-	// grid generators compile their whole cell list into one
+	// Planner, when non-nil, is the memoizing sweep planner
+	// (internal/plan) every simulation a generator launches runs
+	// through: grid generators compile their whole cell list into one
 	// reuse-aware schedule (see simCells), and chokepoint runs
-	// (saturation probes, one-off measurements) resolve through the
-	// planner's cache. The planner's always-on layers — in-batch dedup,
-	// content-addressed memoization, cost-model scheduling — are
-	// byte-identity-preserving, so rendered tables match the direct
-	// path exactly; with WarmupShare also set, rate sweeps additionally
-	// fork from shared warm checkpoints (same sampling-plan caveat as
-	// the legacy Fig-8 path). Ignored while Instrument is attached: a
-	// cache hit executes nothing, so memoized runs would silently skip
-	// producing the instrument's trace artifacts.
+	// (saturation probes, one-off measurements) resolve through its
+	// cache. Its always-on layers — in-batch dedup, content-addressed
+	// memoization, cost-model scheduling — are byte-identity-preserving;
+	// with its WarmupShare option set, rate sweeps also fork from shared
+	// warm checkpoints, which changes the sampling plan. See
+	// Scale.planner for when it is not used.
 	Planner *plan.Planner
 }
 
-// planner returns the scale's planner, or nil when instrumentation is
-// attached (cache hits execute no simulation, which would silently
-// drop the instrument's per-run file artifacts).
+// planner returns the planner the scale's simulations run through: the
+// attached Planner, unless none is attached or an Instrument is set.
+// Then it is a fresh planner over the scale's own pool, telemetry and
+// progress knobs with NoReuse, so every job simulates (no cache read
+// or write, no dedup) and none forks (WarmupShare unset). An
+// instrument's per-run artifacts come only from runs that execute, and
+// observing must not change the numbers. The fresh planner has no
+// store, so building one is cheap.
 func (s Scale) planner() *plan.Planner {
-	if s.Instrument != nil {
-		return nil
+	if s.Planner != nil && s.Instrument == nil {
+		return s.Planner
 	}
-	return s.Planner
+	// New fails only opening a store, and this planner has none.
+	p, _ := plan.New(plan.Options{
+		Workers: s.Workers, JobTimeout: s.JobTimeout, MaxFailures: s.MaxFailures,
+		NoReuse: true, Bus: s.SweepEvents,
+		Progress: s.Progress, ProgressEvery: s.ProgressEvery,
+	})
+	return p
 }
 
-// runSynthetic resolves one synthetic cell: through the planner's
-// content-addressed cache when one is attached (Scale.Planner), else
-// directly. The cache key is computed before instrumentation attaches,
+// runSynthetic resolves one synthetic cell through the scale's
+// planner. The cache key is computed before instrumentation attaches,
 // matching serve.CacheKey's canonicalization — observation hooks never
 // change a result's bytes, so they must not change its address either.
 func (s Scale) runSynthetic(ctx context.Context, cfg seec.Config) (seec.Result, error) {
-	if p := s.planner(); p != nil {
-		return p.RunOne(ctx, cfg, s.runSyntheticDirect)
-	}
-	return s.runSyntheticDirect(ctx, cfg)
+	return s.planner().RunOne(ctx, cfg, s.runSyntheticDirect)
 }
 
-// runSyntheticDirect is seec.RunSyntheticCtx with the scale's
-// instrumentation attached. Generators call runSynthetic instead of
-// seec.RunSynthetic directly; the context comes from the cell's runner
-// slot, so per-job deadlines and the circuit breaker can interrupt a
-// run between cycles.
+// runSyntheticDirect is seec.RunSyntheticCtx with the scale's hooks
+// attached, the RunFunc the planner executes on a miss. The context
+// comes from the cell's runner slot, so per-job deadlines and the
+// circuit breaker can interrupt a run between cycles.
 func (s Scale) runSyntheticDirect(ctx context.Context, cfg seec.Config) (seec.Result, error) {
-	cfg.Instrument = s.Instrument
-	cfg.Telemetry = s.RunEvents
-	cfg.HeartbeatEvery = s.HeartbeatEvery
-	return seec.RunSyntheticCtx(ctx, cfg)
+	return seec.RunSyntheticCtx(ctx, s.withHooks(cfg))
 }
 
-// runApplication resolves one application run: through the planner's
-// cache (keyed by plan.AppKey — the config plus the workload identity)
-// when one is attached, else directly.
+// runApplication resolves one application run through the scale's
+// planner, keyed by plan.AppKey (the config plus the workload
+// identity), running seec.RunApplicationCtx with the scale's hooks on
+// a miss.
 func (s Scale) runApplication(ctx context.Context, cfg seec.Config, app string, txns, maxCycles int64) (seec.AppResult, error) {
-	if p := s.planner(); p != nil {
-		return plan.Memoize(ctx, p, plan.AppKey(cfg, app, txns, maxCycles),
-			func(ctx context.Context) (seec.AppResult, error) {
-				return s.runApplicationDirect(ctx, cfg, app, txns, maxCycles)
-			})
-	}
-	return s.runApplicationDirect(ctx, cfg, app, txns, maxCycles)
+	return plan.Memoize(ctx, s.planner(), plan.AppKey(cfg, app, txns, maxCycles),
+		func(ctx context.Context) (seec.AppResult, error) {
+			return seec.RunApplicationCtx(ctx, s.withHooks(cfg), app, txns, maxCycles)
+		})
 }
 
-// runApplicationDirect is seec.RunApplicationCtx with the scale's
-// instrumentation attached.
-func (s Scale) runApplicationDirect(ctx context.Context, cfg seec.Config, app string, txns, maxCycles int64) (seec.AppResult, error) {
+// withHooks returns cfg with the scale's observation hooks attached.
+func (s Scale) withHooks(cfg seec.Config) seec.Config {
 	cfg.Instrument = s.Instrument
 	cfg.Telemetry = s.RunEvents
 	cfg.HeartbeatEvery = s.HeartbeatEvery
-	return seec.RunApplicationCtx(ctx, cfg, app, txns, maxCycles)
+	return cfg
 }
 
 // Quick returns the fast preset used by tests and default CLI runs.

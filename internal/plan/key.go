@@ -69,7 +69,7 @@ func forkKey(base seec.Config, rate float64) string {
 }
 
 // AppKey addresses an application-trace run: the semantic config plus
-// the workload identity that RunApplication takes alongside it.
+// the workload identity that RunApplicationCtx takes alongside it.
 func AppKey(cfg seec.Config, app string, txns, maxCycles int64) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "seec-app/v%d\n%s\n%d %d\n", serve.ResultFormatVersion, app, txns, maxCycles)

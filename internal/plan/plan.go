@@ -15,12 +15,10 @@
 //  2. Warmup-prefix sharing (opt-in, WarmupShare). Jobs that agree on
 //     everything except injection rate form a family; the family pays
 //     its warmup once and forks each member from the warm checkpoint
-//     (seec.RunSyntheticForked), generalizing the Fig-8-only
-//     -warmup-share path to every sweep. Like that path, sharing
-//     changes the sampling plan (shared warm state and seed per
-//     family), so it is a flag, not a default. Non-forkable schemes
-//     (deflection: CHIPPER, MinBD) run independently, exactly like
-//     the legacy fallback.
+//     (seec.RunSyntheticForkedCtx). Sharing changes the sampling plan
+//     (shared warm state and seed per family), so it is a flag, not a
+//     default. Non-forkable schemes (deflection: CHIPPER, MinBD) run
+//     independently.
 //
 //  3. Cost-model scheduling. Each execution unit's cost is estimated
 //     as (cycles x mesh nodes) scaled by an EWMA of observed
@@ -32,8 +30,8 @@
 // Reuse layers 1 and 3 are byte-identity-preserving: results are
 // indexed by job, cached payloads are the canonical JSON encoding
 // (float64 fields round-trip exactly), and scheduling order never
-// leaks into results. A driver run with planning on renders the same
-// bytes as one with planning off.
+// leaks into results. A run with reuse renders the same bytes as one
+// with NoReuse, where every job simulates.
 package plan
 
 import (
@@ -80,12 +78,14 @@ func (j Job) exec() seec.Config {
 
 // Outcome is one job's resolution. Done is false only when the batch
 // was cancelled (context or breaker) before the job executed — the
-// caller renders such cells as zero values, matching the legacy
-// direct-fan-out behavior.
+// caller renders such cells as zero values. Elapsed is, for a failed
+// job, the wall time of the execution unit that ran it (a family's
+// members share their unit's); it is zero otherwise.
 type Outcome struct {
-	Result seec.Result
-	Err    error
-	Done   bool
+	Result  seec.Result
+	Err     error
+	Done    bool
+	Elapsed time.Duration
 }
 
 // Options configures a Planner.
@@ -149,8 +149,7 @@ func (s Stats) Reused() int64 { return s.Deduped + s.MemHits + s.StoreHits }
 const defaultNsPerCost = 625.0
 
 // Planner is the reuse-aware scheduler. All methods are safe for
-// concurrent use; a nil *Planner is valid and degrades every call to
-// its direct, uncached equivalent.
+// concurrent use.
 type Planner struct {
 	opts  Options
 	store *serve.Store
@@ -180,9 +179,6 @@ func New(o Options) (*Planner, error) {
 
 // Stats returns a snapshot of the lifetime counters.
 func (p *Planner) Stats() Stats {
-	if p == nil {
-		return Stats{}
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.stats
@@ -310,12 +306,8 @@ func forkable(s seec.Scheme) bool {
 
 // RunOne resolves a single already-derived configuration through the
 // cache, simulating via run on a miss. The chokepoint path for
-// irregular sweeps (saturation probes, one-off measurement runs). A
-// nil planner just runs.
+// irregular sweeps (saturation probes, one-off measurement runs).
 func (p *Planner) RunOne(ctx context.Context, cfg seec.Config, run RunFunc) (seec.Result, error) {
-	if p == nil {
-		return run(ctx, cfg)
-	}
 	p.bump(func(s *Stats) { s.Jobs++ })
 	key := serve.CacheKey(cfg)
 	if b, ok := p.lookup(key); ok {
@@ -340,11 +332,8 @@ func (p *Planner) RunOne(ctx context.Context, cfg seec.Config, run RunFunc) (see
 // are not seec.Result payloads (application runs, derived
 // measurements); values must round-trip JSON exactly for reuse to be
 // byte-identity-preserving. Compute errors are returned uncached, so
-// a cancelled run is never served later. A nil planner just computes.
+// a cancelled run is never served later.
 func Memoize[T any](ctx context.Context, p *Planner, key string, compute func(ctx context.Context) (T, error)) (T, error) {
-	if p == nil {
-		return compute(ctx)
-	}
 	p.bump(func(s *Stats) { s.Jobs++ })
 	if b, ok := p.lookup(key); ok {
 		var v T
@@ -367,22 +356,11 @@ func Memoize[T any](ctx context.Context, p *Planner, key string, compute func(ct
 // it: dedup identical jobs, probe the cache, group the remainder into
 // warmup families (when WarmupShare is on), sort execution units
 // longest-expected-first, and fan out on the runner pool. The returned
-// slice is indexed by job. A nil planner degrades to a serial
-// uncached loop.
+// slice is indexed by job.
 func (p *Planner) Run(ctx context.Context, jobs []Job, run RunFunc) []Outcome {
 	n := len(jobs)
 	outs := make([]Outcome, n)
 	if n == 0 {
-		return outs
-	}
-	if p == nil {
-		for i := range jobs {
-			if ctx.Err() != nil {
-				break
-			}
-			res, err := run(ctx, jobs[i].exec())
-			outs[i] = Outcome{Result: res, Err: err, Done: true}
-		}
 		return outs
 	}
 	p.bump(func(s *Stats) { s.Jobs += int64(n) })
@@ -394,9 +372,8 @@ func (p *Planner) Run(ctx context.Context, jobs []Job, run RunFunc) []Outcome {
 
 	// Layer 1: warmup families. Grouping runs over the raw batch so
 	// the member order — and with it the base (mid-rate) member and
-	// the fork order — matches the submission order exactly, which is
-	// what makes the planner's shared path byte-identical to the
-	// legacy Fig-8 fig8SharedCells convention.
+	// the fork order — follows the submission order exactly, which is
+	// what internal/exp's warmup-share golden pins.
 	famOf := make([]int, n)
 	for i := range famOf {
 		famOf[i] = -1
@@ -558,16 +535,31 @@ func (p *Planner) Run(ctx context.Context, jobs []Job, run RunFunc) []Outcome {
 		ropts = append(ropts, runner.WithProgress(p.opts.Progress),
 			runner.WithProgressThrottle(p.opts.ProgressEvery))
 	}
-	// The aggregate error is ignored deliberately: outcomes carry the
-	// per-job errors, and cancelled (never-executed) jobs stay
-	// Done=false for the caller to render as zero cells.
-	runner.Map(ctx, len(units), func(ctx context.Context, ui int) (struct{}, error) {
+	// Outcomes carry the per-job errors, and cancelled (never-executed)
+	// jobs stay Done=false for the caller to render as zero cells.
+	_, err := runner.Map(ctx, len(units), func(ctx context.Context, ui int) (struct{}, error) {
 		u := units[ui]
 		if u.fam < 0 {
 			return struct{}{}, p.execIndependent(ctx, u.jobs[0], exec, keys, outs, run)
 		}
 		return struct{}{}, p.execFamily(ctx, fams[u.fam], u.jobs, exec, keys, outs, run)
 	}, ropts...)
+	// A failed unit's failed jobs take the wall time the runner measured
+	// for it. Only a unit that panicked wrote no outcomes: its jobs
+	// record the recovered panic as their error.
+	var se *runner.SweepError
+	if errors.As(err, &se) {
+		for _, f := range se.Failures {
+			for _, i := range units[f.Index].jobs {
+				if !outs[i].Done {
+					outs[i] = Outcome{Err: f.Err, Done: true}
+				}
+				if outs[i].Err != nil {
+					outs[i].Elapsed = f.Elapsed
+				}
+			}
+		}
+	}
 
 	for l, fs := range followers {
 		for _, i := range fs {
@@ -657,7 +649,7 @@ func (p *Planner) execFamily(ctx context.Context, f *family, missing []int, exec
 // json). A no-op without a cache directory: a purely in-process cache
 // leaves nothing on disk to describe.
 func (p *Planner) WriteManifest(tool string, args []string) error {
-	if p == nil || p.store == nil {
+	if p.store == nil {
 		return nil
 	}
 	s := p.Stats()

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"seec"
@@ -271,5 +272,30 @@ func TestMemoizeErrorNotCached(t *testing.T) {
 	})
 	if err != nil || v != 42 || calls != 2 {
 		t.Fatalf("cached v=%d err=%v calls=%d, want 42/nil/2", v, err, calls)
+	}
+}
+
+// TestRunRecordsPanicAndElapsed: a job whose run panics resolves as
+// executed with the recovered panic as its error and its unit's wall
+// time, so callers report it like any other failure; the other jobs
+// complete.
+func TestRunRecordsPanicAndElapsed(t *testing.T) {
+	p, err := New(Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := []Job{{Cfg: smallCfg(0.05)}, {Cfg: smallCfg(0.10)}}
+	outs := p.Run(context.Background(), jobs, func(ctx context.Context, cfg seec.Config) (seec.Result, error) {
+		if cfg.InjectionRate == 0.10 {
+			panic("run exploded")
+		}
+		return seec.RunSyntheticCtx(ctx, cfg)
+	})
+	if o := outs[0]; !o.Done || o.Err != nil || o.Result.ReceivedPackets == 0 {
+		t.Fatalf("healthy job: done=%v err=%v received=%d", o.Done, o.Err, o.Result.ReceivedPackets)
+	}
+	if o := outs[1]; !o.Done || o.Err == nil || !strings.Contains(o.Err.Error(), "run exploded") || o.Elapsed <= 0 {
+		t.Fatalf("panicking job: done=%v err=%v elapsed=%v, want the recovered panic and its wall time",
+			o.Done, o.Err, o.Elapsed)
 	}
 }

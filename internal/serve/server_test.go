@@ -464,7 +464,7 @@ func TestRealSimulation(t *testing.T) {
 		t.Fatal("result not cached")
 	}
 	sp, _ := DecodeJobSpec(spec)
-	want, err := seec.RunSynthetic(sp.Configs()[0])
+	want, err := seec.RunSyntheticCtx(context.Background(), sp.Configs()[0])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -246,8 +246,8 @@ func (sp *JobSpec) rates() []float64 {
 
 // Configs lowers a validated spec to one simulator Config per run. A
 // single-rate job uses the spec's seed exactly as given (matching
-// seec.RunSynthetic); a multi-point sweep derives each point's seed
-// via Config.SweepSeed, matching seec.LatencyCurve — so a sweep point
+// seec.RunSyntheticCtx); a multi-point sweep derives each point's seed
+// via Config.SweepSeed, matching seec.LatencyCurveCtx — so a sweep point
 // submitted to the gateway shares its cache entry with the same point
 // computed by the figures CLI conventions.
 func (sp *JobSpec) Configs() []seec.Config {

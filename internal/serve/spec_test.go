@@ -31,7 +31,7 @@ func TestDecodeJobSpecSweep(t *testing.T) {
 	if len(cfgs) != 5 {
 		t.Fatalf("want 5 sweep points, got %d", len(cfgs))
 	}
-	// Sweep points derive per-point seeds (LatencyCurve convention), so
+	// Sweep points derive per-point seeds (LatencyCurveCtx convention), so
 	// gateway cache entries line up with the figures CLI.
 	for i, c := range cfgs {
 		want := c
@@ -40,7 +40,7 @@ func TestDecodeJobSpecSweep(t *testing.T) {
 			t.Fatalf("point %d seed %d, want SweepSeed %d", i, c.Seed, want.SweepSeed())
 		}
 	}
-	// A single-rate job keeps its seed as-is (RunSynthetic convention).
+	// A single-rate job keeps its seed as-is (RunSyntheticCtx convention).
 	sp2, _ := DecodeJobSpec([]byte(`{"rate":0.05,"seed":7}`))
 	if got := sp2.Configs()[0].Seed; got != 7 {
 		t.Fatalf("single-rate seed %d, want 7", got)

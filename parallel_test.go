@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+	"time"
 
 	"seec"
 	"seec/internal/runner"
@@ -50,11 +51,11 @@ func TestSaturationThroughputParallelDeterminism(t *testing.T) {
 	}
 	cfg := curveCfg()
 	cfg.SimCycles = 4000
-	satSerial, resSerial, err := seec.SaturationThroughputCtx(context.Background(), cfg, 1)
+	satSerial, resSerial, err := seec.SaturationThroughputWith(context.Background(), cfg, 1, seec.RunSyntheticCtx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	satPar, resPar, err := seec.SaturationThroughputCtx(context.Background(), cfg, 4)
+	satPar, resPar, err := seec.SaturationThroughputWith(context.Background(), cfg, 4, seec.RunSyntheticCtx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,6 +117,48 @@ func TestLatencyCurveCancellation(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
+}
+
+// requireDeadlineMidRun runs a sweep over 50M-cycle 4x4 XY points
+// under a 200 ms deadline: it must give up within 2 s with an error
+// wrapping context.DeadlineExceeded, so a cancelled sweep stops its
+// points between cycles instead of finishing them.
+func requireDeadlineMidRun(t *testing.T, sweep func(ctx context.Context, cfg seec.Config) error) {
+	t.Helper()
+	cfg := seec.DefaultConfig()
+	cfg.Rows, cfg.Cols = 4, 4
+	cfg.Scheme = seec.SchemeXY
+	cfg.SimCycles = 50_000_000
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- sweep(ctx, cfg) }()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("sweep still running 2 s after a 200 ms deadline")
+	}
+}
+
+// TestLatencyCurveDeadlineMidRun: each point runs under the curve's
+// context.
+func TestLatencyCurveDeadlineMidRun(t *testing.T) {
+	requireDeadlineMidRun(t, func(ctx context.Context, cfg seec.Config) error {
+		_, err := seec.LatencyCurveCtx(ctx, cfg, []float64{0.05, 0.10}, 2)
+		return err
+	})
+}
+
+// TestSaturationThroughputDeadlineMidRun: the zero-load calibration
+// and every probe run under the search's context.
+func TestSaturationThroughputDeadlineMidRun(t *testing.T) {
+	requireDeadlineMidRun(t, func(ctx context.Context, cfg seec.Config) error {
+		_, _, err := seec.SaturationThroughputWith(ctx, cfg, 2, seec.RunSyntheticCtx)
+		return err
+	})
 }
 
 // TestSweepSeedCoordinates: derived seeds are stable, and every sweep

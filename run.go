@@ -70,15 +70,10 @@ func (r Result) Row() string {
 		r.ThroughputFlits, r.ReceivedPackets, 100*r.FFFraction, stall)
 }
 
-// RunSynthetic executes one synthetic-traffic simulation: warmup +
-// SimCycles measured cycles.
-func RunSynthetic(cfg Config) (Result, error) {
-	return RunSyntheticCtx(context.Background(), cfg)
-}
-
-// RunSyntheticCtx is RunSynthetic with cancellation: the simulation
-// checks ctx every 1024 cycles and aborts with ctx's error, so per-job
-// deadlines from the sweep harness actually interrupt a stuck run.
+// RunSyntheticCtx executes one synthetic-traffic simulation: warmup +
+// SimCycles measured cycles. The simulation checks ctx every 1024
+// cycles and aborts with ctx's error, so per-job deadlines from the
+// sweep harness actually interrupt a stuck run.
 //
 // It is also where the checkpoint machinery hooks in. With
 // Config.ResumePath set, the run restores from that checkpoint instead
@@ -242,17 +237,13 @@ type Fork struct {
 	Rate float64
 }
 
-// RunSyntheticForked is RunSyntheticForkedCtx without cancellation.
-func RunSyntheticForked(cfg Config, forks []Fork) ([]Result, error) {
-	return RunSyntheticForkedCtx(context.Background(), cfg, forks, 0)
-}
-
 // RunSyntheticForkedCtx amortizes warmup across related measurement
 // runs: it warms one simulation up to cfg.Warmup, checkpoints it to
 // memory, then restores the checkpoint once per fork and runs each
 // fork's measurement phase (applying its Seed/Rate overrides at the
-// fork point) across workers concurrent workers. A fork with zero
-// overrides is byte-identical to RunSynthetic of the same config.
+// fork point) across workers concurrent workers (<= 0: GOMAXPROCS). A
+// fork with zero overrides is byte-identical to RunSyntheticCtx of the
+// same config.
 // Results come back in fork order and record the overridden Seed/Rate
 // in their Config. Instrument and Telemetry hooks and checkpoint files
 // are not applied to forks; CI early stopping (cfg.StopCI) is.
@@ -362,12 +353,12 @@ func (s *Sim) Snapshot() Result {
 // SweepSeed derives the per-job RNG seed for this configuration from
 // (Seed, scheme, routing, pattern, injection rate, mesh size, VC
 // shape), plus any extra tags (e.g. an application name). Sweep
-// helpers (LatencyCurve, SaturationThroughput, the internal/exp
+// helpers (LatencyCurveCtx, SaturationThroughputWith, the internal/exp
 // generators) seed every job this way rather than from shared or
 // ambient state, so each sweep point owns an independent, reproducible
 // RNG stream and parallel execution at any worker count is
-// byte-identical to serial execution. RunSynthetic itself always uses
-// Config.Seed exactly as given.
+// byte-identical to serial execution. RunSyntheticCtx itself always
+// uses Config.Seed exactly as given.
 func (c Config) SweepSeed(tags ...string) uint64 {
 	h := rng.NewSeedHash(c.Seed).
 		String(string(c.Scheme)).
@@ -395,24 +386,19 @@ type CurvePoint struct {
 	Result Result
 }
 
-// LatencyCurve sweeps injection rates and returns the latency curve
+// LatencyCurveCtx sweeps injection rates and returns the latency curve
 // (Fig. 8's data). Points past severe saturation still return (with
 // saturated latency values), matching how the paper plots its curves.
-// The points run concurrently across runtime.GOMAXPROCS(0) workers;
-// each derives its seed via Config.SweepSeed, so the curve is
-// identical at any parallelism.
-func LatencyCurve(cfg Config, rates []float64) ([]CurvePoint, error) {
-	return LatencyCurveCtx(context.Background(), cfg, rates, 0)
-}
-
-// LatencyCurveCtx is LatencyCurve with explicit cancellation and
-// worker-count control (workers <= 0 selects runtime.GOMAXPROCS(0)).
+// The points run concurrently across workers workers (<= 0:
+// runtime.GOMAXPROCS(0)), each cancelled with ctx; each derives its
+// seed via Config.SweepSeed, so the curve is identical at any
+// parallelism.
 func LatencyCurveCtx(ctx context.Context, cfg Config, rates []float64, workers int) ([]CurvePoint, error) {
-	pts, err := runner.Sweep(ctx, rates, func(_ context.Context, rate float64) (CurvePoint, error) {
+	pts, err := runner.Sweep(ctx, rates, func(ctx context.Context, rate float64) (CurvePoint, error) {
 		c := cfg
 		c.InjectionRate = rate
 		c.Seed = c.SweepSeed()
-		res, err := RunSynthetic(c)
+		res, err := RunSyntheticCtx(ctx, c)
 		return CurvePoint{Rate: rate, Result: res}, err
 	}, runner.WithWorkers(workers))
 	if err != nil {
@@ -423,13 +409,7 @@ func LatencyCurveCtx(ctx context.Context, cfg Config, rates []float64, workers i
 
 // ZeroLoadLatency measures the average latency at a near-zero rate.
 func ZeroLoadLatency(cfg Config) (float64, error) {
-	return zeroLoadLatencyWith(context.Background(), cfg, defaultRun)
-}
-
-// defaultRun adapts RunSynthetic to the injectable-run signature used
-// by the saturation search.
-func defaultRun(_ context.Context, cfg Config) (Result, error) {
-	return RunSynthetic(cfg)
+	return zeroLoadLatencyWith(context.Background(), cfg, RunSyntheticCtx)
 }
 
 // zeroLoadLatencyWith is ZeroLoadLatency with the simulation routed
@@ -449,32 +429,21 @@ func zeroLoadLatencyWith(ctx context.Context, cfg Config, run func(context.Conte
 	return res.AvgLatency, nil
 }
 
-// SaturationThroughput returns the highest injection rate (packets/
-// node/cycle) at which average latency stays below 3x the zero-load
-// latency — the standard saturation definition. The returned Result is
-// from the last sub-saturation run.
-func SaturationThroughput(cfg Config) (float64, Result, error) {
-	return SaturationThroughputCtx(context.Background(), cfg, 0)
-}
-
-// SaturationThroughputCtx is SaturationThroughput with explicit
-// cancellation and worker-count control. The search runs a coarse
-// geometric probe phase concurrently, then narrows the bracketing
-// interval with fixed three-point sections whose points also run
-// concurrently. The fan-out shape is fixed — never a function of the
-// worker count — and every run derives its seed via Config.SweepSeed,
-// so the measured saturation point is identical at any parallelism.
-func SaturationThroughputCtx(ctx context.Context, cfg Config, workers int) (float64, Result, error) {
-	return SaturationThroughputWith(ctx, cfg, workers, defaultRun)
-}
-
-// SaturationThroughputWith is SaturationThroughputCtx with every
-// probe simulation (including the zero-load calibration run) routed
-// through run. The search shape, the probe configs, and their derived
-// seeds are identical to the direct path — run only decides how each
-// config executes — so a memoizing run function (the sweep planner)
-// resolves a repeated search entirely from cache: the probe sequence
-// is deterministic, hence so is the sequence of cache keys.
+// SaturationThroughputWith returns the highest injection rate
+// (packets/node/cycle) at which average latency stays below 3x the
+// zero-load latency — the standard saturation definition. The returned
+// Result is from the last sub-saturation run. Every probe simulation
+// (including the zero-load calibration run) executes through run with
+// the search's ctx; RunSyntheticCtx runs it directly. The search runs
+// a coarse geometric probe phase concurrently across workers workers
+// (<= 0: GOMAXPROCS), then narrows the bracketing interval with fixed
+// three-point sections whose points also run concurrently. The fan-out
+// shape is fixed — never a function of the worker count — and every
+// run derives its seed via Config.SweepSeed, so the measured
+// saturation point is identical at any parallelism. run only decides
+// how each config executes, so a memoizing run function (the sweep
+// planner) resolves a repeated search entirely from cache: the probe
+// sequence is deterministic, hence so is the sequence of cache keys.
 func SaturationThroughputWith(ctx context.Context, cfg Config, workers int, run func(context.Context, Config) (Result, error)) (float64, Result, error) {
 	zero, err := zeroLoadLatencyWith(ctx, cfg, run)
 	if err != nil {
@@ -549,15 +518,10 @@ type AppResult struct {
 	ClassAvgLatency []float64
 }
 
-// RunApplication drives a coherence workload to its transaction target
-// (or maxCycles) and reports runtime and packet-latency statistics.
-func RunApplication(cfg Config, app string, txns, maxCycles int64) (AppResult, error) {
-	return RunApplicationCtx(context.Background(), cfg, app, txns, maxCycles)
-}
-
-// RunApplicationCtx is RunApplication with cooperative cancellation: the
-// context is polled every 1024 cycles, so per-job deadlines in the
-// experiment harness can bound a wedged run.
+// RunApplicationCtx drives a coherence workload to its transaction
+// target (or maxCycles) and reports runtime and packet-latency
+// statistics. The context is polled every 1024 cycles, so per-job
+// deadlines in the experiment harness can bound a wedged run.
 func RunApplicationCtx(ctx context.Context, cfg Config, app string, txns, maxCycles int64) (AppResult, error) {
 	s, err := NewAppSim(cfg, app, txns)
 	if err != nil {

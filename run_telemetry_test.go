@@ -1,6 +1,7 @@
 package seec_test
 
 import (
+	"context"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -16,7 +17,7 @@ func collectRunEvents(t *testing.T, cfg seec.Config) ([]seec.RunEvent, seec.Resu
 	cfg.Telemetry = func(*seec.Sim) func(seec.RunEvent) {
 		return func(e seec.RunEvent) { evs = append(evs, e) }
 	}
-	res, err := seec.RunSynthetic(cfg)
+	res, err := seec.RunSyntheticCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +39,7 @@ func smallTelemetryConfig() seec.Config {
 // telemetry on and off (the observes-only contract).
 func TestRunTelemetryHeartbeats(t *testing.T) {
 	cfg := smallTelemetryConfig()
-	plain, err := seec.RunSynthetic(cfg)
+	plain, err := seec.RunSyntheticCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func TestRunTelemetryApplication(t *testing.T) {
 	cfg.Telemetry = func(*seec.Sim) func(seec.RunEvent) {
 		return func(e seec.RunEvent) { evs = append(evs, e) }
 	}
-	if _, err := seec.RunApplication(cfg, "stress", 3000, 2_000_000); err != nil {
+	if _, err := seec.RunApplicationCtx(context.Background(), cfg, "stress", 3000, 2_000_000); err != nil {
 		t.Fatal(err)
 	}
 	if len(evs) == 0 {
@@ -223,7 +224,7 @@ func TestTelemetryOptionsStart(t *testing.T) {
 	if cfg.Telemetry == nil {
 		t.Fatal("Attach did not set Config.Telemetry")
 	}
-	if _, err := seec.RunSynthetic(cfg); err != nil {
+	if _, err := seec.RunSyntheticCtx(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
 	snap := tel.Agg.Snapshot()

@@ -15,7 +15,7 @@
 //	cfg.Scheme = seec.SchemeSEEC
 //	cfg.Pattern = "uniform_random"
 //	cfg.InjectionRate = 0.10
-//	res, err := seec.RunSynthetic(cfg)
+//	res, err := seec.RunSyntheticCtx(context.Background(), cfg)
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // paper-vs-measured record.
@@ -176,8 +176,8 @@ type Config struct {
 	ResumePath      string `json:"-"`
 
 	// Instrument, when non-nil, is called on the freshly built Sim
-	// before the first cycle; runner helpers (RunSynthetic,
-	// RunApplication) invoke it and call the returned function (if any)
+	// before the first cycle; runner helpers (RunSyntheticCtx,
+	// RunApplicationCtx) invoke it and call the returned function (if any)
 	// after the last cycle. It is how the CLIs attach tracers, metrics
 	// and watchdogs to runs that go through the sweep machinery.
 	// Instrumentation must only observe — it never changes results.

@@ -1,6 +1,7 @@
 package seec_test
 
 import (
+	"context"
 	"testing"
 
 	"seec"
@@ -23,7 +24,7 @@ func TestWormholeBasicFlow(t *testing.T) {
 	cfg := wormholeConfig(seec.SchemeXY)
 	cfg.InjectionRate = 0.05
 	cfg.SimCycles = 8000
-	res, err := seec.RunSynthetic(cfg)
+	res, err := seec.RunSyntheticCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
