@@ -62,13 +62,19 @@ func TestLatencyCurveMonotoneLoadEffect(t *testing.T) {
 	cfg.Rows, cfg.Cols = 4, 4
 	cfg.Scheme = seec.SchemeSEEC
 	cfg.SimCycles = 8000
-	pts, err := seec.LatencyCurveCtx(context.Background(), cfg, []float64{0.01, 0.12}, 0)
-	if err != nil {
-		t.Fatal(err)
+	var lat [2]float64
+	for i, rate := range []float64{0.01, 0.12} {
+		c := cfg
+		c.InjectionRate = rate
+		c.Seed = c.SweepSeed()
+		res, err := seec.RunSyntheticCtx(context.Background(), c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lat[i] = res.AvgLatency
 	}
-	if pts[1].Result.AvgLatency < pts[0].Result.AvgLatency {
-		t.Fatalf("latency fell with load: %.2f -> %.2f",
-			pts[0].Result.AvgLatency, pts[1].Result.AvgLatency)
+	if lat[1] < lat[0] {
+		t.Fatalf("latency fell with load: %.2f -> %.2f", lat[0], lat[1])
 	}
 }
 

@@ -234,30 +234,38 @@ func BenchmarkTable3_SeekBounds(b *testing.B) {
 	}
 }
 
-// benchCurve is the shared workload for the serial-vs-parallel
-// seec.LatencyCurveCtx pair: one full Fig. 8-style rate sweep.
+// benchCurve is the shared workload for the serial-vs-parallel pair:
+// one Fig. 8-style latency curve, its rate points run through a
+// planner on workers workers with every point simulating.
 func benchCurve(b *testing.B, workers int) {
-	cfg := seec.DefaultConfig()
-	cfg.Rows, cfg.Cols = 4, 4
-	cfg.Scheme = seec.SchemeSEEC
-	cfg.SimCycles = 3000
 	rates := []float64{0.02, 0.06, 0.10, 0.14, 0.18, 0.22, 0.26, 0.30}
+	jobs := make([]plan.Job, len(rates))
+	for i, rate := range rates {
+		cfg := seec.DefaultConfig()
+		cfg.Rows, cfg.Cols = 4, 4
+		cfg.Scheme = seec.SchemeSEEC
+		cfg.SimCycles = 3000
+		cfg.InjectionRate = rate
+		jobs[i] = plan.Job{Cfg: cfg, DeriveSeed: true}
+	}
 	for i := 0; i < b.N; i++ {
-		pts, err := seec.LatencyCurveCtx(context.Background(), cfg, rates, workers)
+		p, err := plan.New(plan.Options{Workers: workers, NoReuse: true})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(pts) != len(rates) {
-			b.Fatalf("got %d points", len(pts))
+		for _, o := range p.Run(context.Background(), jobs, seec.RunSyntheticCtx) {
+			if o.Err != nil {
+				b.Fatal(o.Err)
+			}
 		}
 	}
 }
 
-// BenchmarkLatencyCurveSerial pins the single-worker sweep so the
+// BenchmarkLatencyCurveSerial pins the single-worker curve so the
 // parallel speedup below is tracked in the benchmark trajectory.
 func BenchmarkLatencyCurveSerial(b *testing.B) { benchCurve(b, 1) }
 
-// BenchmarkLatencyCurveParallel runs the identical sweep across
+// BenchmarkLatencyCurveParallel runs the identical curve across
 // GOMAXPROCS workers; the results are byte-identical to serial (see
 // TestLatencyCurveParallelDeterminism), only the wall clock changes.
 func BenchmarkLatencyCurveParallel(b *testing.B) {

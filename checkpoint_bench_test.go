@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"seec"
+	"seec/internal/runner"
 )
 
 // warmupForkRates is the rate sweep both BenchmarkWarmupFork arms
@@ -31,24 +32,25 @@ func warmupForkCfg() seec.Config {
 }
 
 // BenchmarkWarmupFork compares the two ways to produce a rate sweep:
-// "shared" warms one simulation and forks every rate point from the
-// in-memory checkpoint (seec.RunSyntheticForkedCtx); "independent" pays
-// the full warmup once per rate point. Same measured cycles per point
-// either way, so the ns/op gap is the amortized warmup.
+// "shared" warms one simulation (seec.WarmCheckpoint) and forks every
+// rate point from the in-memory checkpoint (seec.RunFork, the points
+// across GOMAXPROCS workers); "independent" pays the full warmup once
+// per rate point. Same measured cycles per point either way, so the
+// ns/op gap is the amortized warmup.
 func BenchmarkWarmupFork(b *testing.B) {
 	b.Run("shared", func(b *testing.B) {
 		cfg := warmupForkCfg()
-		forks := make([]seec.Fork, len(warmupForkRates))
-		for i, r := range warmupForkRates {
-			forks[i] = seec.Fork{Rate: r}
-		}
+		ctx := context.Background()
 		for i := 0; i < b.N; i++ {
-			res, err := seec.RunSyntheticForkedCtx(context.Background(), cfg, forks, 0)
+			snap, err := seec.WarmCheckpoint(ctx, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if len(res) != len(forks) {
-				b.Fatalf("got %d results", len(res))
+			_, err = runner.Map(ctx, len(warmupForkRates), func(ctx context.Context, j int) (seec.Result, error) {
+				return seec.RunFork(ctx, cfg, snap, seec.Fork{Rate: warmupForkRates[j]})
+			})
+			if err != nil {
+				b.Fatal(err)
 			}
 		}
 	})

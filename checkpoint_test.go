@@ -510,23 +510,28 @@ func TestStopCICoverage(t *testing.T) {
 // TestWarmupFork validates the warmup-fork path: a fork with no
 // overrides is byte-identical to the plain run (resume identity at the
 // warmup boundary), overrides land in the forked run and its echoed
-// Config, and the fan-out is deterministic at any worker count.
+// Config, and forks of one snapshot do not depend on one another: run
+// concurrently and in reverse order, they give the same results.
 func TestWarmupFork(t *testing.T) {
+	ctx := context.Background()
 	cfg := checkpointCfg(seec.SchemeSEEC, "uniform_random", "")
 	cfg.SimCycles = 1200
 	cfg.Warmup = 300
 
-	ref, err := seec.RunSyntheticCtx(context.Background(), cfg)
+	ref, err := seec.RunSyntheticCtx(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := seec.WarmCheckpoint(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	forks := []seec.Fork{{}, {Seed: 99}, {Rate: 0.18}}
-	res, err := seec.RunSyntheticForkedCtx(context.Background(), cfg, forks, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != len(forks) {
-		t.Fatalf("got %d results for %d forks", len(res), len(forks))
+	res := make([]seec.Result, len(forks))
+	for i, fk := range forks {
+		if res[i], err = seec.RunFork(ctx, cfg, snap, fk); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if !reflect.DeepEqual(ref, res[0]) {
 		t.Errorf("zero-override fork differs from the plain run\nplain: %+v\nfork:  %+v", ref, res[0])
@@ -544,23 +549,23 @@ func TestWarmupFork(t *testing.T) {
 		t.Errorf("higher-rate fork injected %d packets, base fork %d", res[2].InjectedPackets, res[0].InjectedPackets)
 	}
 
-	serial, err := seec.RunSyntheticForkedCtx(context.Background(), cfg, forks, 1)
+	wide, err := runner.Map(ctx, len(forks), func(ctx context.Context, i int) (seec.Result, error) {
+		return seec.RunFork(ctx, cfg, snap, forks[len(forks)-1-i])
+	}, runner.WithWorkers(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide, err := seec.RunSyntheticForkedCtx(context.Background(), cfg, forks, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, wide) {
-		t.Error("forked results differ across worker counts")
+	for i := range forks {
+		if !reflect.DeepEqual(res[i], wide[len(forks)-1-i]) {
+			t.Errorf("fork %d differs when its siblings run concurrently", i)
+		}
 	}
 }
 
-// TestRunnerRetryResume is the breaker-recovery story end to end: a job
-// dies mid-run leaving its periodic checkpoint behind, the runner's
-// retry re-invokes it, the rerun resumes from the checkpoint — and the
-// final output is byte-identical to a never-interrupted run.
+// TestRunnerRetryResume is the story a retrying caller relies on: a
+// job dies mid-run leaving its periodic checkpoint behind, the rerun
+// resumes from the checkpoint — and the final output is byte-identical
+// to a never-interrupted run.
 func TestRunnerRetryResume(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "job.ckpt")
 	cfg := checkpointCfg(seec.SchemeSEEC, "uniform_random", "link:0.001,corrupt:1e-4")
@@ -572,36 +577,25 @@ func TestRunnerRetryResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	attempts := 0
-	out, err := runner.Map(context.Background(), 1, func(ctx context.Context, _ int) (seec.Result, error) {
-		attempts++
-		if attempts == 1 {
-			// Simulate a timeout kill: the run gets partway, its periodic
-			// checkpoint hits disk, then the job dies.
-			s, err := seec.NewSim(cfg)
-			if err != nil {
-				return seec.Result{}, err
-			}
-			s.Run(900)
-			if err := s.SaveCheckpointFile(path); err != nil {
-				return seec.Result{}, err
-			}
-			return seec.Result{}, fmt.Errorf("simulated breaker kill")
-		}
-		c := cfg
-		c.ResumePath = path
-		c.CheckpointPath = path
-		return seec.RunSyntheticCtx(ctx, c)
-	}, runner.WithRetries(1))
+	// The killed attempt: the run gets partway, its periodic checkpoint
+	// hits disk, then the job dies.
+	s, err := seec.NewSim(cfg)
 	if err != nil {
-		t.Fatalf("sweep failed despite retry: %v", err)
+		t.Fatal(err)
 	}
-	if attempts != 2 {
-		t.Fatalf("job ran %d times, want 2", attempts)
+	s.Run(900)
+	if err := s.SaveCheckpointFile(path); err != nil {
+		t.Fatal(err)
+	}
+	c := cfg
+	c.ResumePath = path
+	c.CheckpointPath = path
+	resumed, err := seec.RunSyntheticCtx(context.Background(), c)
+	if err != nil {
+		t.Fatalf("resumed run: %v", err)
 	}
 	// The checkpoint paths are operational, not semantic; scrub them
 	// from the echoed Config.
-	resumed := out[0]
 	resumed.Config.ResumePath, resumed.Config.CheckpointPath = "", ""
 	if !reflect.DeepEqual(ref, resumed) {
 		t.Errorf("resumed job differs from uninterrupted run\nuninterrupted: %+v\nresumed:       %+v", ref, resumed)

@@ -23,6 +23,13 @@ go test -timeout 30m ./...
 # only show when those goroutines actually overlap. (A single
 # simulation steps on one goroutine.)
 GOMAXPROCS=4 go test -race -short -timeout 30m ./...
+# Fork-unit race leg: a warmup-shared family's warmup unit and its fork
+# units share one snapshot and one ready signal across workers. Ten
+# rounds at GOMAXPROCS=4 on 4x4 meshes give the race detector many
+# interleavings of publish, wait and release, including a warmup that
+# fails or panics and a fork that times out. (The -short race pass
+# above runs these tests once too; none of them skips in -short.)
+GOMAXPROCS=4 go test -race -count=10 -run 'TestForkUnit' -timeout 10m ./internal/plan
 # Compile-and-smoke the step benchmarks (one iteration, no -run match):
 # a broken benchmark otherwise only surfaces when someone profiles.
 go test -bench . -benchtime 1x -run XXX ./internal/noc

@@ -177,15 +177,16 @@ func main() {
 	}
 
 	// The sweep planner: constructed after the scale is final so its
-	// worker pool and telemetry wiring match the scale's. An
-	// instrumented scale does not use it: its runs go through a fresh
-	// planner that neither reuses nor forks (exp.Scale.Planner).
+	// worker pool and telemetry wiring match the scale's. Instrumented
+	// runs must neither reuse nor fork, so an instrumented scale gets a
+	// NoReuse planner (-warmup-share is rejected above); the scale then
+	// runs on it, and the ledger below counts what really simulated.
 	po := plan.Options{
 		Workers:       sc.Workers,
 		JobTimeout:    sc.JobTimeout,
 		MaxFailures:   sc.MaxFailures,
 		WarmupShare:   *warmupShare,
-		NoReuse:       *noReuse,
+		NoReuse:       *noReuse || inst.Enabled(),
 		CacheDir:      *cacheDir,
 		Bus:           sc.SweepEvents,
 		Progress:      sc.Progress,

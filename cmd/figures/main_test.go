@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"os/exec"
@@ -122,5 +123,50 @@ func TestCLIRejectsBadFlags(t *testing.T) {
 				t.Errorf("figures %v: %v, want usage error 2", args, err)
 			}
 		}
+	}
+}
+
+// TestInstrumentedLedgerCountsRuns: an instrumented run executes on
+// the planner whose ledger figures prints, so that ledger and the plan
+// manifest count every cell it simulated, and the manifest's wall time
+// spans the sweep rather than the manifest write.
+func TestInstrumentedLedgerCountsRuns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates Fig. 10a at quick scale")
+	}
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	cmd := exec.Command(exe, "-fig", "10a", "-j", "2", "-watchdog", "1000000", "-cache-dir", dir)
+	cmd.Env = append(os.Environ(), mainEnv+"=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("figures: %v\nstderr:\n%s", err, stderr.String())
+	}
+	if !bytes.Contains(stderr.Bytes(), []byte("plan: jobs=16 reused=0 simulated=16 ")) {
+		t.Errorf("ledger does not count the 16 simulated cells:\n%s", stderr.String())
+	}
+	b, err := os.ReadFile(filepath.Join(dir, "plan.manifest.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m struct {
+		WallSeconds float64 `json:"wall_seconds"`
+		Plan        struct {
+			Jobs      int64 `json:"jobs"`
+			Simulated int64 `json:"simulated"`
+		} `json:"plan"`
+	}
+	if err := json.Unmarshal(b, &m); err != nil {
+		t.Fatal(err)
+	}
+	if m.Plan.Jobs != 16 || m.Plan.Simulated != 16 {
+		t.Errorf("manifest plan: jobs=%d simulated=%d, want 16/16", m.Plan.Jobs, m.Plan.Simulated)
+	}
+	if m.WallSeconds < 0.05 {
+		t.Errorf("manifest wall_seconds=%g does not span the sweep", m.WallSeconds)
 	}
 }

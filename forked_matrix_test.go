@@ -32,8 +32,7 @@ func matrixCfg(scheme seec.Scheme, pattern, faults string) seec.Config {
 // family member at the family's own warmup rate. Deflection schemes
 // (CHIPPER, MinBD) have no checkpointable state; the contract there is
 // the explicitly recorded fallback, checkpoint.ErrUnsupported, which
-// both the legacy Fig-8 shared path and the planner translate into
-// independent per-point runs.
+// the planner translates into independent per-point runs.
 func TestWarmupForkIdentityMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix of full runs; skipped in -short")
@@ -50,7 +49,7 @@ func TestWarmupForkIdentityMatrix(t *testing.T) {
 				// fault layer does not apply; one fault-free leg pins the
 				// recorded-fallback contract.
 				cfg := matrixCfg(scheme, pattern, "")
-				_, err := seec.RunSyntheticForkedCtx(context.Background(), cfg, []seec.Fork{{}}, 0)
+				_, err := seec.WarmCheckpoint(context.Background(), cfg)
 				if !errors.Is(err, checkpoint.ErrUnsupported) {
 					t.Errorf("%s/%s: deflection fork err = %v, want checkpoint.ErrUnsupported",
 						scheme, pattern, err)
@@ -70,13 +69,17 @@ func TestWarmupForkIdentityMatrix(t *testing.T) {
 					if err != nil {
 						t.Fatalf("plain run: %v", err)
 					}
-					res, err := seec.RunSyntheticForkedCtx(context.Background(), cfg, []seec.Fork{{}}, 0)
+					snap, err := seec.WarmCheckpoint(context.Background(), cfg)
+					if err != nil {
+						t.Fatalf("warmup: %v", err)
+					}
+					res, err := seec.RunFork(context.Background(), cfg, snap, seec.Fork{})
 					if err != nil {
 						t.Fatalf("forked run: %v", err)
 					}
-					if !reflect.DeepEqual(ref, res[0]) {
+					if !reflect.DeepEqual(ref, res) {
 						t.Errorf("zero-override fork differs from the plain run\nplain: %+v\nfork:  %+v",
-							ref, res[0])
+							ref, res)
 					}
 				})
 			}
@@ -88,8 +91,8 @@ func TestWarmupForkIdentityMatrix(t *testing.T) {
 // against the shard count that plan.Options keeps for the perfbench
 // module: planners with Shards 0, 1 and 4 fork the same families from
 // the same warm states, and every member's outcome is the bytes
-// seec.RunSyntheticForkedCtx gives for its family's base (the mid-rate
-// member, seeded by SweepSeed("warmup-share")). Older builds copied the
+// seec.RunFork gives from seec.WarmCheckpoint of its family's base (the
+// mid-rate member, seeded by SweepSeed("warmup-share")). Older builds copied the
 // shard count into every family base, so a fork path that still read
 // it would skew shared sweeps.
 func TestWarmupForkShardedIdentity(t *testing.T) {
@@ -98,21 +101,23 @@ func TestWarmupForkShardedIdentity(t *testing.T) {
 	var jobs []plan.Job
 	var want []seec.Result
 	for _, scheme := range []seec.Scheme{seec.SchemeSEEC, seec.SchemeMSEEC} {
-		forks := make([]seec.Fork, len(rates))
-		for i, rate := range rates {
-			cfg := matrixCfg(scheme, "uniform_random", "")
-			cfg.InjectionRate = rate
-			jobs = append(jobs, plan.Job{Cfg: cfg, DeriveSeed: true})
-			forks[i] = seec.Fork{Rate: rate}
-		}
 		base := matrixCfg(scheme, "uniform_random", "")
 		base.InjectionRate = rates[len(rates)/2]
 		base.Seed = base.SweepSeed("warmup-share")
-		res, err := seec.RunSyntheticForkedCtx(ctx, base, forks, 1)
+		snap, err := seec.WarmCheckpoint(ctx, base)
 		if err != nil {
-			t.Fatalf("%s library fork: %v", scheme, err)
+			t.Fatalf("%s library warmup: %v", scheme, err)
 		}
-		want = append(want, res...)
+		for _, rate := range rates {
+			cfg := matrixCfg(scheme, "uniform_random", "")
+			cfg.InjectionRate = rate
+			jobs = append(jobs, plan.Job{Cfg: cfg, DeriveSeed: true})
+			res, err := seec.RunFork(ctx, base, snap, seec.Fork{Rate: rate})
+			if err != nil {
+				t.Fatalf("%s library fork: %v", scheme, err)
+			}
+			want = append(want, res)
+		}
 	}
 	for _, shards := range []int{0, 1, 4} {
 		p, err := plan.New(plan.Options{Workers: 2, Shards: shards, WarmupShare: true})

@@ -173,15 +173,16 @@ type Scale struct {
 }
 
 // planner returns the planner the scale's simulations run through: the
-// attached Planner, unless none is attached or an Instrument is set.
-// Then it is a fresh planner over the scale's own pool, telemetry and
-// progress knobs with NoReuse, so every job simulates (no cache read
-// or write, no dedup) and none forks (WarmupShare unset). An
-// instrument's per-run artifacts come only from runs that execute, and
-// observing must not change the numbers. The fresh planner has no
-// store, so building one is cheap.
+// attached Planner, unless none is attached, or an Instrument is set
+// and the attached planner is not Fresh. Then it is a fresh planner
+// over the scale's own pool, telemetry and progress knobs with
+// NoReuse, so every job simulates (no cache read or write, no dedup)
+// and none forks (WarmupShare unset). An instrument's per-run
+// artifacts come only from runs that execute, and observing must not
+// change the numbers. The fresh planner has no store, so building one
+// is cheap; a driver that attaches a Fresh planner keeps one ledger.
 func (s Scale) planner() *plan.Planner {
-	if s.Planner != nil && s.Instrument == nil {
+	if s.Planner != nil && (s.Instrument == nil || s.Planner.Fresh()) {
 		return s.Planner
 	}
 	// New fails only opening a store, and this planner has none.

@@ -13,19 +13,22 @@
 //     duplicates collapse onto one execution.
 //
 //  2. Warmup-prefix sharing (opt-in, WarmupShare). Jobs that agree on
-//     everything except injection rate form a family; the family pays
-//     its warmup once and forks each member from the warm checkpoint
-//     (seec.RunSyntheticForkedCtx). Sharing changes the sampling plan
-//     (shared warm state and seed per family), so it is a flag, not a
-//     default. Non-forkable schemes (deflection: CHIPPER, MinBD) run
-//     independently.
+//     everything except injection rate form a family. A family runs as
+//     one warmup unit (seec.WarmCheckpoint), which publishes an
+//     in-memory snapshot, plus one fork unit per missing member
+//     (seec.RunFork). Each fork is its own runner job, with its own
+//     budget, outcome and events, so a family's forks spread across
+//     workers and a slow fork fails only its own cell. Sharing changes
+//     the sampling plan (shared warm state and seed per family), so it
+//     is a flag, not a default. Non-forkable schemes (deflection:
+//     CHIPPER, MinBD) run independently.
 //
-//  3. Cost-model scheduling. Each execution unit's cost is estimated
-//     as (cycles x mesh nodes) scaled by an EWMA of observed
-//     ns-per-(cycle*node) — seeded from the telemetry aggregator's
-//     completed-job latencies when available — and units dispatch
-//     longest-expected-first (LPT) to minimize makespan across the
-//     worker pool.
+//  3. Longest-first scheduling. Units dispatch in order of cost, the
+//     raw (cycles x mesh nodes) they simulate, largest first, to
+//     shorten the pool's idle tail; warmup units go before all others,
+//     so a fork never waits on a warmup no worker has taken. An EWMA
+//     of observed ns-per-(cycle*node), seeded from Options.Agg when
+//     set, only turns that cost into plan_compile's wall-time estimate.
 //
 // Reuse layers 1 and 3 are byte-identity-preserving: results are
 // indexed by job, cached payloads are the canonical JSON encoding
@@ -38,9 +41,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"seec"
@@ -79,8 +84,8 @@ func (j Job) exec() seec.Config {
 // Outcome is one job's resolution. Done is false only when the batch
 // was cancelled (context or breaker) before the job executed — the
 // caller renders such cells as zero values. Elapsed is, for a failed
-// job, the wall time of the execution unit that ran it (a family's
-// members share their unit's); it is zero otherwise.
+// job, the wall time of the unit that ran it (for a fork, its own
+// unit's, not its warmup's); it is zero otherwise.
 type Outcome struct {
 	Result  seec.Result
 	Err     error
@@ -97,7 +102,9 @@ type Options struct {
 	// Deprecated: runs are serial. Its only user is the perfbench
 	// module, which sets it to 1.
 	Shards int
-	// JobTimeout bounds each execution unit (<= 0: unbounded).
+	// JobTimeout bounds each execution unit — an independent job, a
+	// family's warmup or one fork — from its dispatch (<= 0:
+	// unbounded). A fork's budget includes its wait for the warmup.
 	JobTimeout time.Duration
 	// MaxFailures trips the breaker after k failed units (<= 0: drain
 	// everything and report per job).
@@ -118,8 +125,8 @@ type Options struct {
 	// Bus receives plan_compile/warmup_fork/warmup_fallback and
 	// cache_hit/miss/quarantine events, plus the runner's job events.
 	Bus *telemetry.Bus
-	// Agg, when set, seeds the cost model's ns-per-(cycle*node) rate
-	// from its completed-job latency average.
+	// Agg, when set, seeds plan_compile's ns-per-(cycle*node) estimate
+	// from its completed-job latency average. It never affects dispatch.
 	Agg *telemetry.Aggregator
 	// Progress mirrors runner.WithProgress over execution units.
 	Progress      func(done, total int)
@@ -133,8 +140,8 @@ type Stats struct {
 	MemHits           int64 // resolved from the in-process LRU
 	StoreHits         int64 // resolved from the persistent store
 	Simulated         int64 // simulations actually executed
-	WarmupFamilies    int64 // families executed via checkpoint fork
-	WarmupForks       int64 // members forked from a shared warm state
+	WarmupFamilies    int64 // families whose warmup checkpointed
+	WarmupForks       int64 // members scheduled as forks of a warm state
 	WarmupCyclesSaved int64 // warmup cycles not re-simulated
 	WarmupFallbacks   int64 // families that ran independently instead
 	Quarantined       int64 // corrupt store blobs quarantined on read
@@ -143,7 +150,7 @@ type Stats struct {
 // Reused is the number of jobs resolved without simulating.
 func (s Stats) Reused() int64 { return s.Deduped + s.MemHits + s.StoreHits }
 
-// defaultNsPerCost is the cost model's prior: BenchmarkStep runs at
+// defaultNsPerCost is plan_compile's prior: BenchmarkStep runs at
 // ~40k ns per 8x8-mesh cycle, i.e. ~625 ns per cycle*node. Replaced by
 // the EWMA after the first observed execution.
 const defaultNsPerCost = 625.0
@@ -151,8 +158,14 @@ const defaultNsPerCost = 625.0
 // Planner is the reuse-aware scheduler. All methods are safe for
 // concurrent use.
 type Planner struct {
-	opts  Options
-	store *serve.Store
+	opts    Options
+	store   *serve.Store
+	started time.Time // for the manifest
+
+	// warmCheckpoint and runFork are the two halves of a forked run,
+	// fields so that a test can fail or stall a single unit.
+	warmCheckpoint func(context.Context, seec.Config) ([]byte, error)
+	runFork        func(context.Context, seec.Config, []byte, seec.Fork) (seec.Result, error)
 
 	mu        sync.Mutex
 	mem       *lruCache
@@ -166,7 +179,10 @@ func New(o Options) (*Planner, error) {
 	if o.MemEntries <= 0 {
 		o.MemEntries = 4096
 	}
-	p := &Planner{opts: o, mem: newLRU(o.MemEntries)}
+	p := &Planner{
+		opts: o, mem: newLRU(o.MemEntries), started: time.Now(),
+		warmCheckpoint: seec.WarmCheckpoint, runFork: seec.RunFork,
+	}
 	if o.CacheDir != "" {
 		st, err := serve.NewStore(serve.OSFS{}, o.CacheDir)
 		if err != nil {
@@ -176,6 +192,12 @@ func New(o Options) (*Planner, error) {
 	}
 	return p, nil
 }
+
+// Fresh reports whether every job p runs executes afresh: no cache
+// read or write, no dedup (NoReuse) and no warmup fork (no
+// WarmupShare). Instrumented runs need such a planner, so that each
+// job's hooks fire once and observing cannot change a number.
+func (p *Planner) Fresh() bool { return p.opts.NoReuse && !p.opts.WarmupShare }
 
 // Stats returns a snapshot of the lifetime counters.
 func (p *Planner) Stats() Stats {
@@ -247,11 +269,11 @@ func (p *Planner) bump(f func(*Stats)) {
 	p.mu.Unlock()
 }
 
-// cost is the scheduling cost estimate of one run: total simulated
-// cycles times mesh nodes, the quantity the hot loop's runtime is
-// proportional to.
-func cost(cfg seec.Config) float64 {
-	return float64((cfg.Warmup + cfg.SimCycles) * int64(cfg.Rows) * int64(cfg.Cols))
+// cost is the scheduling cost of simulating the given cycles of cfg's
+// mesh: cycles times mesh nodes, the quantity the hot loop's runtime
+// is proportional to.
+func cost(cfg seec.Config, cycles int64) float64 {
+	return float64(cycles * int64(cfg.Rows) * int64(cfg.Cols))
 }
 
 // noteSim records n executed simulations and, when cost and duration
@@ -289,10 +311,17 @@ func (p *Planner) costRate(meanCost float64) float64 {
 }
 
 // family is one warmup-prefix sharing group: jobs identical except
-// injection rate, executed as one base warmup plus per-member forks.
+// injection rate, executed as one warmup unit plus one fork unit per
+// missing member.
 type family struct {
 	members []int       // job indices, submission order
 	base    seec.Config // mid-rate member, seed = SweepSeed("warmup-share")
+	missing []int       // members the cache did not resolve
+
+	ready chan struct{} // closed when the warmup unit ends, however it ends
+	snap  []byte        // warm checkpoint; nil once every fork has it
+	err   error         // the warmup's failure; read after ready
+	left  atomic.Int32  // forks yet to take the snapshot
 }
 
 // forkable reports whether a scheme's simulation state checkpoints.
@@ -322,7 +351,7 @@ func (p *Planner) RunOne(ctx context.Context, cfg seec.Config, run RunFunc) (see
 	if err != nil {
 		return res, err
 	}
-	p.noteSim(1, cost(cfg), time.Since(start))
+	p.noteSim(1, cost(cfg, cfg.Warmup+cfg.SimCycles), time.Since(start))
 	p.put(key, res)
 	return res, nil
 }
@@ -353,10 +382,11 @@ func Memoize[T any](ctx context.Context, p *Planner, key string, compute func(ct
 }
 
 // Run compiles a job batch into a reuse-aware schedule and executes
-// it: dedup identical jobs, probe the cache, group the remainder into
-// warmup families (when WarmupShare is on), sort execution units
-// longest-expected-first, and fan out on the runner pool. The returned
-// slice is indexed by job.
+// it: dedup identical jobs, probe the cache, split the remainder into
+// independent units and, when WarmupShare is on, one warmup unit plus
+// one fork unit per missing family member, sort the units
+// longest-first with warmups ahead, and fan out on the runner pool.
+// The returned slice is indexed by job.
 func (p *Planner) Run(ctx context.Context, jobs []Job, run RunFunc) []Outcome {
 	n := len(jobs)
 	outs := make([]Outcome, n)
@@ -448,7 +478,6 @@ func (p *Planner) Run(ctx context.Context, jobs []Job, run RunFunc) []Outcome {
 	}
 	reused := n - len(order)
 	var pending []int
-	famMissing := make([][]int, len(fams))
 	for _, i := range order {
 		if b, ok := p.lookup(keys[i]); ok {
 			var res seec.Result
@@ -459,42 +488,46 @@ func (p *Planner) Run(ctx context.Context, jobs []Job, run RunFunc) []Outcome {
 			}
 		}
 		if fi := famOf[i]; fi >= 0 {
-			famMissing[fi] = append(famMissing[fi], i)
+			fams[fi].missing = append(fams[fi].missing, i)
 		} else {
 			pending = append(pending, i)
 		}
 	}
 
-	// Layer 3: execution units, longest-expected-first. A family is
-	// one unit (its members share a warm state); forking a partial
-	// family is sound because every fork restores from the same
-	// snapshot — a member's bytes depend only on (base, own rate).
+	// Layer 3: execution units, longest-first. A family's forks wait
+	// for its warmup, so warmups dispatch ahead of every other unit:
+	// a fork then waits at most one warmup. Forking a partial family
+	// is sound because every fork restores from the same snapshot — a
+	// member's bytes depend only on (base, own rate).
 	type unit struct {
-		fam  int // -1 = independent
-		jobs []int
+		fam  *family // nil = independent job
+		job  int     // job index, -1 = the family's warmup
 		cost float64
 	}
 	var units []unit
 	for _, i := range pending {
-		units = append(units, unit{fam: -1, jobs: []int{i}, cost: cost(exec[i])})
+		units = append(units, unit{job: i, cost: cost(exec[i], exec[i].Warmup+exec[i].SimCycles)})
 	}
-	for fi, missing := range famMissing {
-		if len(missing) == 0 {
+	for _, f := range fams {
+		if len(f.missing) == 0 {
 			continue
 		}
-		base := fams[fi].base
-		nodes := float64(int64(base.Rows) * int64(base.Cols))
-		c := float64(base.Warmup) * nodes
-		for _, m := range missing {
-			c += float64(exec[m].SimCycles) * nodes
+		f.ready = make(chan struct{})
+		f.left.Store(int32(len(f.missing)))
+		units = append(units, unit{fam: f, job: -1, cost: cost(f.base, f.base.Warmup)})
+		for _, m := range f.missing {
+			units = append(units, unit{fam: f, job: m, cost: cost(exec[m], exec[m].SimCycles)})
 		}
-		units = append(units, unit{fam: fi, jobs: missing, cost: c})
 	}
 	sort.SliceStable(units, func(a, b int) bool {
-		if units[a].cost != units[b].cost {
-			return units[a].cost > units[b].cost
+		ua, ub := units[a], units[b]
+		if wa, wb := ua.job < 0, ub.job < 0; wa != wb {
+			return wa
 		}
-		return units[a].jobs[0] < units[b].jobs[0]
+		if ua.cost != ub.cost {
+			return ua.cost > ub.cost
+		}
+		return ua.job < ub.job
 	})
 
 	var total float64
@@ -539,24 +572,31 @@ func (p *Planner) Run(ctx context.Context, jobs []Job, run RunFunc) []Outcome {
 	// jobs stay Done=false for the caller to render as zero cells.
 	_, err := runner.Map(ctx, len(units), func(ctx context.Context, ui int) (struct{}, error) {
 		u := units[ui]
-		if u.fam < 0 {
-			return struct{}{}, p.execIndependent(ctx, u.jobs[0], exec, keys, outs, run)
+		switch {
+		case u.fam == nil:
+			return struct{}{}, p.simulate(ctx, exec[u.job], keys[u.job], &outs[u.job], run)
+		case u.job < 0:
+			return struct{}{}, p.warmup(ctx, u.fam)
+		default:
+			return struct{}{}, p.fork(ctx, u.fam, exec[u.job], keys[u.job], &outs[u.job], run)
 		}
-		return struct{}{}, p.execFamily(ctx, fams[u.fam], u.jobs, exec, keys, outs, run)
 	}, ropts...)
-	// A failed unit's failed jobs take the wall time the runner measured
-	// for it. Only a unit that panicked wrote no outcomes: its jobs
-	// record the recovered panic as their error.
+	// A failed unit's job takes the wall time the runner measured for
+	// it. Only a unit that panicked wrote no outcome: its job records
+	// the recovered panic as its error. A warmup has no job of its
+	// own; its failure reaches its members through their forks.
 	var se *runner.SweepError
 	if errors.As(err, &se) {
 		for _, f := range se.Failures {
-			for _, i := range units[f.Index].jobs {
-				if !outs[i].Done {
-					outs[i] = Outcome{Err: f.Err, Done: true}
-				}
-				if outs[i].Err != nil {
-					outs[i].Elapsed = f.Elapsed
-				}
+			i := units[f.Index].job
+			if i < 0 {
+				continue
+			}
+			if !outs[i].Done {
+				outs[i] = Outcome{Err: f.Err, Done: true}
+			}
+			if outs[i].Err != nil {
+				outs[i].Elapsed = f.Elapsed
 			}
 		}
 	}
@@ -569,84 +609,98 @@ func (p *Planner) Run(ctx context.Context, jobs []Job, run RunFunc) []Outcome {
 	return outs
 }
 
-// execIndependent runs one cache-missed job and writes it back.
-func (p *Planner) execIndependent(ctx context.Context, i int, exec []seec.Config, keys []string, outs []Outcome, run RunFunc) error {
+// simulate runs one cache-missed job independently and writes it back
+// under key.
+func (p *Planner) simulate(ctx context.Context, cfg seec.Config, key string, out *Outcome, run RunFunc) error {
 	start := time.Now()
-	res, err := run(ctx, exec[i])
-	outs[i] = Outcome{Result: res, Err: err, Done: true}
+	res, err := run(ctx, cfg)
+	*out = Outcome{Result: res, Err: err, Done: true}
 	if err != nil {
 		return err
 	}
-	p.noteSim(1, cost(exec[i]), time.Since(start))
-	p.put(keys[i], res)
+	p.noteSim(1, cost(cfg, cfg.Warmup+cfg.SimCycles), time.Since(start))
+	p.put(key, res)
 	return nil
 }
 
-// execFamily pays the family's warmup once and forks each missing
-// member from the warm checkpoint. A non-forkable state (possible in
-// principle even past the static scheme check) falls back to
-// independent runs — cached under their independent keys, since those
-// are the bytes they produce.
-func (p *Planner) execFamily(ctx context.Context, f *family, missing []int, exec []seec.Config, keys []string, outs []Outcome, run RunFunc) error {
-	forks := make([]seec.Fork, len(missing))
-	for k, m := range missing {
-		forks[k] = seec.Fork{Rate: exec[m].InjectionRate}
-	}
+// warmup is a family's warmup unit: it warms the family base and
+// publishes the snapshot to the family's forks. ready closes however
+// the unit ends, a panic included, so no fork waits on a dead warmup.
+// A state that cannot checkpoint (possible in principle even past the
+// static scheme check) is no failure: the forks then run their members
+// independently.
+func (p *Planner) warmup(ctx context.Context, f *family) error {
+	defer close(f.ready)
+	defer func() {
+		if r := recover(); r != nil {
+			f.err = fmt.Errorf("warmup panic: %v", r)
+			panic(r) // the runner records it with its stack
+		}
+	}()
 	start := time.Now()
-	results, err := seec.RunSyntheticForkedCtx(ctx, f.base, forks, 1)
-	if err != nil {
-		if errors.Is(err, checkpoint.ErrUnsupported) {
-			p.opts.Bus.Emit(telemetry.Event{
-				Kind: telemetry.EvWarmupFallback, Job: -1,
-				Total: int64(len(missing)), Err: err.Error(),
-			})
-			p.bump(func(s *Stats) { s.WarmupFallbacks++ })
-			var firstErr error
-			for _, m := range missing {
-				res, rerr := run(ctx, exec[m])
-				outs[m] = Outcome{Result: res, Err: rerr, Done: true}
-				if rerr != nil {
-					if firstErr == nil {
-						firstErr = rerr
-					}
-					continue
-				}
-				p.noteSim(1, cost(exec[m]), 0)
-				p.put(serve.CacheKey(exec[m]), res)
-			}
-			return firstErr
-		}
-		for _, m := range missing {
-			outs[m] = Outcome{Err: err, Done: true}
-		}
-		return err
+	f.snap, f.err = p.warmCheckpoint(ctx, f.base)
+	n := int64(len(f.missing))
+	if errors.Is(f.err, checkpoint.ErrUnsupported) {
+		p.opts.Bus.Emit(telemetry.Event{
+			Kind: telemetry.EvWarmupFallback, Job: -1, Total: n, Err: f.err.Error(),
+		})
+		p.bump(func(s *Stats) { s.WarmupFallbacks++ })
+		return nil
 	}
-	saved := int64(len(missing)-1) * f.base.Warmup
-	p.opts.Bus.Emit(telemetry.Event{
-		Kind: telemetry.EvWarmupFork, Job: -1,
-		Total: int64(len(missing)), Cycle: saved,
-	})
+	if f.err != nil {
+		return f.err
+	}
+	saved := (n - 1) * f.base.Warmup
+	p.opts.Bus.Emit(telemetry.Event{Kind: telemetry.EvWarmupFork, Job: -1, Total: n, Cycle: saved})
 	p.bump(func(s *Stats) {
 		s.WarmupFamilies++
-		s.WarmupForks += int64(len(missing))
+		s.WarmupForks += n
 		s.WarmupCyclesSaved += saved
 	})
-	nodes := float64(int64(f.base.Rows) * int64(f.base.Cols))
-	c := float64(f.base.Warmup) * nodes
-	for _, m := range missing {
-		c += float64(exec[m].SimCycles) * nodes
+	p.noteSim(0, cost(f.base, f.base.Warmup), time.Since(start))
+	return nil
+}
+
+// fork is one member's fork unit: it waits for the family's warmup,
+// restores the snapshot and measures the member at its own rate. A
+// fork cancelled before the warmup ends never takes the snapshot, which
+// then lives until Run returns; otherwise the last fork to take it
+// drops the family's reference. The fallback for a state that cannot
+// checkpoint runs the member independently, cached under its
+// independent key, since those are the bytes it produces.
+func (p *Planner) fork(ctx context.Context, f *family, cfg seec.Config, key string, out *Outcome, run RunFunc) error {
+	select {
+	case <-f.ready:
+	case <-ctx.Done():
+		*out = Outcome{Err: ctx.Err(), Done: true}
+		return ctx.Err()
 	}
-	p.noteSim(int64(len(missing)), c, time.Since(start))
-	for k, m := range missing {
-		outs[m] = Outcome{Result: results[k], Done: true}
-		p.put(keys[m], results[k])
+	snap := f.snap
+	if f.left.Add(-1) == 0 {
+		f.snap = nil
 	}
+	if errors.Is(f.err, checkpoint.ErrUnsupported) {
+		return p.simulate(ctx, cfg, serve.CacheKey(cfg), out, run)
+	}
+	if f.err != nil {
+		*out = Outcome{Err: f.err, Done: true}
+		return f.err
+	}
+	start := time.Now()
+	res, err := p.runFork(ctx, f.base, snap, seec.Fork{Rate: cfg.InjectionRate})
+	*out = Outcome{Result: res, Err: err, Done: true}
+	if err != nil {
+		return err
+	}
+	p.noteSim(1, cost(cfg, cfg.SimCycles), time.Since(start))
+	p.put(key, res)
 	return nil
 }
 
 // WriteManifest records the planner's lifetime stats as a provenance
 // manifest next to the persistent cache (<cache-dir>/plan.manifest.
-// json). A no-op without a cache directory: a purely in-process cache
+// json); its start time is New's, so wall_seconds spans the planner's
+// life. A no-op without a cache directory: a purely in-process cache
 // leaves nothing on disk to describe.
 func (p *Planner) WriteManifest(tool string, args []string) error {
 	if p.store == nil {
@@ -654,6 +708,7 @@ func (p *Planner) WriteManifest(tool string, args []string) error {
 	}
 	s := p.Stats()
 	m := trace.NewManifest(tool, args)
+	m.Started = p.started
 	m.Note = "sweep plan provenance"
 	m.Plan = &trace.PlanSection{
 		Jobs:              s.Jobs,

@@ -3,14 +3,20 @@ package plan
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"seec"
+	"seec/internal/checkpoint"
 	"seec/internal/serve"
+	"seec/internal/telemetry"
 )
 
 // directRun is the test RunFunc: plain uncached execution.
@@ -297,5 +303,210 @@ func TestRunRecordsPanicAndElapsed(t *testing.T) {
 	if o := outs[1]; !o.Done || o.Err == nil || !strings.Contains(o.Err.Error(), "run exploded") || o.Elapsed <= 0 {
 		t.Fatalf("panicking job: done=%v err=%v elapsed=%v, want the recovered panic and its wall time",
 			o.Done, o.Err, o.Elapsed)
+	}
+}
+
+// forkJobs is two warmup families of three rate points each, SEEC then
+// mSEEC on small meshes, as a -warmup-share sweep submits them.
+func forkJobs() []Job {
+	var jobs []Job
+	for _, scheme := range []seec.Scheme{seec.SchemeSEEC, seec.SchemeMSEEC} {
+		for _, rate := range []float64{0.05, 0.10, 0.20} {
+			cfg := smallCfg(rate)
+			cfg.Scheme = scheme
+			jobs = append(jobs, Job{Cfg: cfg, DeriveSeed: true})
+		}
+	}
+	return jobs
+}
+
+// runForks runs jobs on a fresh warmup-sharing planner, after setup
+// (if any) has adjusted it. It fails the test if Run has not returned
+// after a minute, so a fork left waiting on its warmup shows as a
+// failure rather than a hung suite.
+func runForks(t *testing.T, o Options, jobs []Job, setup func(*Planner)) ([]Outcome, Stats) {
+	t.Helper()
+	o.WarmupShare = true
+	p, err := New(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if setup != nil {
+		setup(p)
+	}
+	done := make(chan []Outcome, 1)
+	go func() { done <- p.Run(context.Background(), jobs, directRun) }()
+	select {
+	case outs := <-done:
+		return outs, p.Stats()
+	case <-time.After(time.Minute):
+		t.Fatal("planner run still waiting after a minute")
+		return nil, Stats{}
+	}
+}
+
+// eventLog is a telemetry sink that keeps every event.
+type eventLog struct {
+	mu  sync.Mutex
+	evs []telemetry.Event
+}
+
+func (l *eventLog) Emit(e telemetry.Event) {
+	l.mu.Lock()
+	l.evs = append(l.evs, e)
+	l.mu.Unlock()
+}
+
+func (l *eventLog) Close() error { return nil }
+
+func (l *eventLog) count(k telemetry.Kind) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := 0
+	for _, e := range l.evs {
+		if e.Kind == k {
+			n++
+		}
+	}
+	return n
+}
+
+// TestForkUnitsOnBus: a family runs as one warmup job plus one job per
+// fork, each with its own job events on the bus, and its outcomes do
+// not depend on the worker count.
+func TestForkUnitsOnBus(t *testing.T) {
+	jobs := forkJobs()
+	serial, _ := runForks(t, Options{Workers: 1}, jobs, nil)
+	for _, workers := range []int{2, 4} {
+		log := &eventLog{}
+		outs, st := runForks(t, Options{Workers: workers, Bus: telemetry.NewBus(log)}, jobs, nil)
+		for i, o := range outs {
+			if !o.Done || o.Err != nil {
+				t.Fatalf("workers=%d job %d: done=%v err=%v", workers, i, o.Done, o.Err)
+			}
+			a, _ := json.Marshal(o.Result)
+			b, _ := json.Marshal(serial[i].Result)
+			if !bytes.Equal(a, b) {
+				t.Errorf("workers=%d job %d: fork differs from the one-worker run", workers, i)
+			}
+		}
+		if st.WarmupFamilies != 2 || st.WarmupForks != int64(len(jobs)) || st.Simulated != int64(len(jobs)) {
+			t.Errorf("workers=%d: families=%d forks=%d simulated=%d, want 2/%d/%d",
+				workers, st.WarmupFamilies, st.WarmupForks, st.Simulated, len(jobs), len(jobs))
+		}
+		want := 2 + len(jobs) // one warmup per family, one job per fork
+		if n := log.count(telemetry.EvJobStart); n != want {
+			t.Errorf("workers=%d: %d job_start events, want %d", workers, n, want)
+		}
+		if n := log.count(telemetry.EvJobDone); n != want {
+			t.Errorf("workers=%d: %d job_done events, want %d", workers, n, want)
+		}
+		if n := log.count(telemetry.EvWarmupFork); n != 2 {
+			t.Errorf("workers=%d: %d warmup_fork events, want 2", workers, n)
+		}
+	}
+}
+
+// TestForkUnitBudget: each fork runs under its own JobTimeout. A fork
+// that cannot meet its budget fails only its own cell, and the
+// family's other cells equal an unbudgeted run.
+func TestForkUnitBudget(t *testing.T) {
+	jobs := forkJobs()
+	want, _ := runForks(t, Options{Workers: 2}, jobs, nil)
+
+	const slow = 1 // the SEEC family's 0.10 fork
+	outs, _ := runForks(t, Options{Workers: 2, JobTimeout: time.Second}, jobs, func(p *Planner) {
+		p.runFork = func(ctx context.Context, base seec.Config, snap []byte, fk seec.Fork) (seec.Result, error) {
+			if base.Scheme == seec.SchemeSEEC && fk.Rate == jobs[slow].exec().InjectionRate {
+				<-ctx.Done() // a fork its budget cannot cover
+				return seec.Result{}, ctx.Err()
+			}
+			return seec.RunFork(ctx, base, snap, fk)
+		}
+	})
+	for i, o := range outs {
+		if i == slow {
+			if !o.Done || !errors.Is(o.Err, context.DeadlineExceeded) || o.Elapsed < time.Second {
+				t.Errorf("slow fork: done=%v err=%v elapsed=%v, want its own deadline", o.Done, o.Err, o.Elapsed)
+			}
+			continue
+		}
+		if !reflect.DeepEqual(o, want[i]) {
+			t.Errorf("job %d: a sibling's timeout changed its outcome: %+v", i, o)
+		}
+	}
+}
+
+// TestForkUnitWarmupFailure: a warmup that fails or panics fails its
+// own family's cells with its error, the other family's cells are
+// untouched, and no fork is left waiting.
+func TestForkUnitWarmupFailure(t *testing.T) {
+	jobs := forkJobs()
+	want, _ := runForks(t, Options{Workers: 2}, jobs, nil)
+	for _, tc := range []struct {
+		name  string
+		fail  func() ([]byte, error)
+		cause string
+	}{
+		{"error", func() ([]byte, error) { return nil, errors.New("warmup broke") }, "warmup broke"},
+		{"panic", func() ([]byte, error) { panic("warmup exploded") }, "warmup panic: warmup exploded"},
+	} {
+		failSEEC := func(p *Planner) {
+			p.warmCheckpoint = func(ctx context.Context, base seec.Config) ([]byte, error) {
+				if base.Scheme == seec.SchemeSEEC {
+					return tc.fail()
+				}
+				return seec.WarmCheckpoint(ctx, base)
+			}
+		}
+		for _, workers := range []int{1, 4} {
+			outs, st := runForks(t, Options{Workers: workers}, jobs, failSEEC)
+			for i, o := range outs {
+				if jobs[i].Cfg.Scheme == seec.SchemeSEEC {
+					if !o.Done || o.Err == nil || o.Err.Error() != tc.cause {
+						t.Errorf("%s, workers=%d: job %d: done=%v err=%v, want %q",
+							tc.name, workers, i, o.Done, o.Err, tc.cause)
+					}
+					continue
+				}
+				if !reflect.DeepEqual(o, want[i]) {
+					t.Errorf("%s, workers=%d: job %d of the healthy family changed: %+v", tc.name, workers, i, o)
+				}
+			}
+			if st.WarmupFamilies != 1 || st.Simulated != 3 {
+				t.Errorf("%s, workers=%d: families=%d simulated=%d, want 1/3",
+					tc.name, workers, st.WarmupFamilies, st.Simulated)
+			}
+		}
+	}
+}
+
+// TestForkUnitFallback: a warm state that cannot checkpoint is no
+// failure. Each fork then runs its member independently, and the
+// result is the independent run's, cached under the independent key.
+func TestForkUnitFallback(t *testing.T) {
+	jobs := forkJobs()[:3]
+	var p *Planner
+	outs, st := runForks(t, Options{Workers: 2}, jobs, func(q *Planner) {
+		p = q
+		q.warmCheckpoint = func(context.Context, seec.Config) ([]byte, error) {
+			return nil, checkpoint.ErrUnsupported
+		}
+	})
+	for i, o := range outs {
+		want, err := seec.RunSyntheticCtx(context.Background(), jobs[i].exec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !o.Done || o.Err != nil || !reflect.DeepEqual(o.Result, want) {
+			t.Errorf("job %d: done=%v err=%v, want the independent run", i, o.Done, o.Err)
+		}
+		if _, ok := p.lookup(Key(jobs[i])); !ok {
+			t.Errorf("job %d: not cached under its independent key", i)
+		}
+	}
+	if st.WarmupFallbacks != 1 || st.WarmupFamilies != 0 || st.Simulated != 3 {
+		t.Errorf("fallbacks=%d families=%d simulated=%d, want 1/0/3",
+			st.WarmupFallbacks, st.WarmupFamilies, st.Simulated)
 	}
 }

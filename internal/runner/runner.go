@@ -2,10 +2,10 @@
 // experiment harness. Every figure in the paper's evaluation is a sweep
 // over independent simulations, so the natural speedup (the SimBricks
 // recipe) is to run the instances concurrently and synchronize only at
-// result collection. Map and Sweep do exactly that: they execute
-// independent jobs across a bounded pool of workers, preserve input
-// ordering in the output slice, propagate the lowest-index error, and
-// honor context cancellation.
+// result collection. Map does exactly that: it executes independent
+// jobs across a bounded pool of workers, preserves input ordering in
+// the output slice, propagates the lowest-index error, and honors
+// context cancellation.
 //
 // Determinism is the callers' side of the contract: a job must derive
 // everything (in particular its RNG seed) from its own inputs, never
@@ -36,15 +36,14 @@ import (
 	"sync/atomic"
 	"time"
 
-	"seec/internal/rng"
 	"seec/internal/telemetry"
 )
 
 // JobError is one failed job: its index, the underlying error, and —
 // when the job panicked — the recovered value's message and the worker
 // stack at the point of the panic. Attempts and Elapsed record how much
-// work the failure cost: the number of attempts made (1 without
-// retries) and the wall time across all of them.
+// work the failure cost: the pool runs every job once, so Attempts is
+// 1, and Elapsed is the job's wall time.
 type JobError struct {
 	Index    int
 	Err      error
@@ -52,10 +51,6 @@ type JobError struct {
 	Stack    []byte // goroutine stack, only set when Panicked
 	Attempts int
 	Elapsed  time.Duration
-	// Backoff is the total time the pool slept between this job's
-	// attempts (0 without retries or with backoff disabled). Included
-	// in Elapsed.
-	Backoff time.Duration
 }
 
 // Error implements error.
@@ -100,27 +95,17 @@ func (e *SweepError) Unwrap() []error {
 	return errs
 }
 
-// Default retry-backoff envelope (see WithRetryBackoff).
-const (
-	DefaultRetryBackoff    = 25 * time.Millisecond
-	DefaultRetryBackoffMax = 2 * time.Second
-)
-
-// options collects the knobs shared by Map and Sweep.
+// options collects Map's knobs.
 type options struct {
 	workers       int
 	progress      func(done, total int)
 	progressEvery time.Duration
 	jobTimeout    time.Duration
 	maxFailures   int
-	retries       int
-	backoffBase   time.Duration
-	backoffMax    time.Duration
-	backoffSet    bool
 	bus           *telemetry.Bus
 }
 
-// Option configures a Map or Sweep call.
+// Option configures a Map call.
 type Option func(*options)
 
 // WithWorkers bounds the worker pool to n. n <= 0 selects
@@ -150,8 +135,8 @@ func WithProgressThrottle(d time.Duration) Option {
 }
 
 // WithTelemetry emits structured sweep- and job-lifecycle events
-// (sweep_start/done, job_start/done/retry/fail/timeout/panic,
-// breaker_trip) on b as the pool runs. A nil bus is a no-op.
+// (sweep_start/done, job_start/done/fail/timeout/panic, breaker_trip)
+// on b as the pool runs. A nil bus is a no-op.
 func WithTelemetry(b *telemetry.Bus) Option {
 	return func(o *options) { o.bus = b }
 }
@@ -173,85 +158,6 @@ func WithJobTimeout(d time.Duration) Option {
 // k <= 0 keeps the default fail-fast behavior.
 func WithMaxFailures(k int) Option {
 	return func(o *options) { o.maxFailures = k }
-}
-
-// WithRetries re-runs a failed or panicked job up to k more times
-// before counting it as failed, each attempt under a fresh per-job
-// deadline. Designed to pair with checkpointed jobs: a job whose
-// Config sets both CheckpointPath and ResumePath to the same file
-// resumes from its last periodic checkpoint on retry instead of
-// starting over, so a timeout kill costs at most CheckpointEvery
-// cycles of progress. Retries never fire for sweep-level cancellation
-// (parent context or a tripped breaker). k <= 0 disables, the default.
-//
-// Attempts are separated by capped jittered exponential backoff
-// (DefaultRetryBackoff doubling up to DefaultRetryBackoffMax unless
-// WithRetryBackoff overrides it), so a sweep hitting a transient
-// resource failure — a full disk, a saturated filesystem — does not
-// hammer it with immediate re-runs. The jitter is derived
-// deterministically from the job index and attempt number, never from
-// a shared RNG or the clock, so retried sweeps remain reproducible:
-// backoff shifts wall time only, results are byte-identical. The total
-// delay slept is recorded in JobError.Backoff and each retry's delay
-// is emitted on the telemetry bus (job_retry, DurNs = the delay).
-func WithRetries(k int) Option {
-	return func(o *options) { o.retries = k }
-}
-
-// WithRetryBackoff overrides the retry backoff envelope: the delay
-// before retry attempt k (2-based) is base<<(k-2), capped at max, then
-// scaled by a deterministic per-(job, attempt) jitter in [0.5, 1.5).
-// base <= 0 disables backoff entirely (immediate retries, the
-// pre-backoff behavior); max <= 0 selects base as the cap.
-func WithRetryBackoff(base, max time.Duration) Option {
-	return func(o *options) {
-		o.backoffBase, o.backoffMax, o.backoffSet = base, max, true
-	}
-}
-
-// retryDelay returns the backoff before the given 2-based retry
-// attempt of job i, jittered deterministically from (i, attempt).
-func (o *options) retryDelay(i, attempt int) time.Duration {
-	base, max := o.backoffBase, o.backoffMax
-	if !o.backoffSet {
-		base, max = DefaultRetryBackoff, DefaultRetryBackoffMax
-	}
-	if base <= 0 {
-		return 0
-	}
-	if max <= 0 {
-		max = base
-	}
-	d := base
-	for k := 2; k < attempt && d < max; k++ {
-		d <<= 1
-	}
-	if d > max {
-		d = max
-	}
-	// Deterministic jitter in [0.5, 1.5): the seed stream is a pure
-	// function of the job's identity, so a re-run sweep backs off
-	// identically.
-	u := rng.NewSeedHash(0xBAC0FF).Uint64(uint64(i)).Uint64(uint64(attempt)).Seed()
-	frac := float64(u>>11) / float64(1<<53) // [0, 1)
-	return time.Duration((0.5 + frac) * float64(d))
-}
-
-// sleepCtx sleeps for d or until ctx is cancelled, returning the time
-// actually slept.
-func sleepCtx(ctx context.Context, d time.Duration) time.Duration {
-	if d <= 0 {
-		return 0
-	}
-	start := time.Now()
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return d
-	case <-ctx.Done():
-		return time.Since(start)
-	}
 }
 
 // Map runs fn(ctx, i) for every i in [0, n) across a bounded worker
@@ -294,33 +200,21 @@ func Map[T any](ctx context.Context, n int, fn func(ctx context.Context, i int) 
 		lastProg time.Time  // last progress callback, for throttling
 		failures []*JobError
 	)
-	// process executes job i end to end: telemetry, the retry loop,
-	// failure accounting, the breaker, and progress. Shared verbatim by
+	// process executes job i end to end: telemetry, failure
+	// accounting, the breaker, and progress. Shared verbatim by
 	// the inline serial path and the worker goroutines, so the two
 	// dispatch modes cannot drift semantically.
 	process := func(i int) {
 		o.bus.Emit(telemetry.Event{Kind: telemetry.EvJobStart, Job: int32(i), Attempt: 1})
 		start := time.Now()
-		attempts := 1
-		var backoff time.Duration
 		v, err := runJob(jobCtx, i, fn, o.jobTimeout)
-		for err != nil && attempts <= o.retries && jobCtx.Err() == nil {
-			attempts++
-			delay := o.retryDelay(i, attempts)
-			o.bus.Emit(telemetry.Event{Kind: telemetry.EvJobRetry, Job: int32(i), Attempt: int32(attempts), DurNs: delay.Nanoseconds()})
-			backoff += sleepCtx(jobCtx, delay)
-			if jobCtx.Err() != nil {
-				break
-			}
-			v, err = runJob(jobCtx, i, fn, o.jobTimeout)
-		}
 		elapsed := time.Since(start)
 		if err != nil {
 			je, ok := err.(*JobError)
 			if !ok {
 				je = &JobError{Index: i, Err: err}
 			}
-			je.Attempts, je.Elapsed, je.Backoff = attempts, elapsed, backoff
+			je.Attempts, je.Elapsed = 1, elapsed
 			kind := telemetry.EvJobFail
 			switch {
 			case je.Panicked:
@@ -329,7 +223,7 @@ func Map[T any](ctx context.Context, n int, fn func(ctx context.Context, i int) 
 				kind = telemetry.EvJobTimeout
 			}
 			o.bus.Emit(telemetry.Event{
-				Kind: kind, Job: int32(i), Attempt: int32(attempts),
+				Kind: kind, Job: int32(i), Attempt: 1,
 				DurNs: elapsed.Nanoseconds(), Err: je.Err.Error(),
 			})
 			mu.Lock()
@@ -346,7 +240,7 @@ func Map[T any](ctx context.Context, n int, fn func(ctx context.Context, i int) 
 			return
 		}
 		o.bus.Emit(telemetry.Event{
-			Kind: telemetry.EvJobDone, Job: int32(i), Attempt: int32(attempts),
+			Kind: telemetry.EvJobDone, Job: int32(i), Attempt: 1,
 			DurNs: elapsed.Nanoseconds(),
 		})
 		out[i] = v
@@ -431,13 +325,4 @@ func runJob[T any](ctx context.Context, i int, fn func(ctx context.Context, i in
 		}
 	}()
 	return fn(ctx, i)
-}
-
-// Sweep maps fn over jobs and returns the results in input order:
-// out[i] is fn's value for jobs[i]. It is Map with the job values
-// carried for the caller.
-func Sweep[J, T any](ctx context.Context, jobs []J, fn func(ctx context.Context, job J) (T, error), opts ...Option) ([]T, error) {
-	return Map(ctx, len(jobs), func(ctx context.Context, i int) (T, error) {
-		return fn(ctx, jobs[i])
-	}, opts...)
 }

@@ -32,22 +32,6 @@ func TestMapPreservesOrder(t *testing.T) {
 	}
 }
 
-// TestSweepPreservesOrder: the slice-based wrapper keeps job order too.
-func TestSweepPreservesOrder(t *testing.T) {
-	jobs := []string{"a", "bb", "ccc", "dddd"}
-	out, err := Sweep(context.Background(), jobs, func(_ context.Context, j string) (int, error) {
-		return len(j), nil
-	}, WithWorkers(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out {
-		if v != i+1 {
-			t.Fatalf("out=%v", out)
-		}
-	}
-}
-
 // TestMapEmpty: zero jobs is a no-op, not a hang.
 func TestMapEmpty(t *testing.T) {
 	out, err := Map(context.Background(), 0, func(_ context.Context, i int) (int, error) {

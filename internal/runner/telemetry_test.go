@@ -107,29 +107,16 @@ func TestProgressThrottle(t *testing.T) {
 }
 
 // TestMapTelemetryEvents checks the full event stream of a sweep with
-// successes, a retried-then-successful job, and a terminal failure.
+// successes and a terminal failure.
 func TestMapTelemetryEvents(t *testing.T) {
 	c := &collector{}
 	bus := telemetry.NewBus(c)
-	var flakyOnce sync.Once
-	flakyFailed := false
 	_, err := Map(context.Background(), 5, func(_ context.Context, i int) (int, error) {
-		switch i {
-		case 2:
-			var fail bool
-			flakyOnce.Do(func() { fail = true; flakyFailed = true })
-			if fail {
-				return 0, errors.New("flaky")
-			}
-			return i, nil
-		case 4:
+		if i == 4 {
 			return 0, errors.New("terminal")
 		}
 		return i, nil
-	}, WithWorkers(2), WithRetries(2), WithMaxFailures(10), WithTelemetry(bus))
-	if !flakyFailed {
-		t.Fatal("test setup: flaky job never failed")
-	}
+	}, WithWorkers(2), WithMaxFailures(10), WithTelemetry(bus))
 	var se *SweepError
 	if !errors.As(err, &se) {
 		t.Fatalf("err = %v, want *SweepError", err)
@@ -137,8 +124,8 @@ func TestMapTelemetryEvents(t *testing.T) {
 	if len(se.Failures) != 1 || se.Failures[0].Index != 4 {
 		t.Fatalf("failures = %v", se.Failures)
 	}
-	// Job 4 used 3 attempts (1 + 2 retries) and must report them.
-	if f := se.Failures[0]; f.Attempts != 3 || f.Elapsed <= 0 {
+	// Every job runs once, and the failure reports that one attempt.
+	if f := se.Failures[0]; f.Attempts != 1 || f.Elapsed <= 0 {
 		t.Fatalf("JobError attempts/elapsed not populated: %+v", f)
 	}
 
@@ -154,12 +141,8 @@ func TestMapTelemetryEvents(t *testing.T) {
 	if dones := c.byKind(telemetry.EvJobDone); len(dones) != 4 {
 		t.Fatalf("job_done count = %d, want 4", len(dones))
 	}
-	// Job 2 retried once; job 4 retried twice.
-	if retries := c.byKind(telemetry.EvJobRetry); len(retries) != 3 {
-		t.Fatalf("job_retry count = %d, want 3: %+v", len(retries), retries)
-	}
 	fails := c.byKind(telemetry.EvJobFail)
-	if len(fails) != 1 || fails[0].Job != 4 || fails[0].Attempt != 3 || fails[0].Err != "terminal" {
+	if len(fails) != 1 || fails[0].Job != 4 || fails[0].Attempt != 1 || fails[0].Err != "terminal" {
 		t.Fatalf("job_fail wrong: %+v", fails)
 	}
 	// Ordering: sweep_start first, sweep_done last.

@@ -247,9 +247,9 @@ func (sp *JobSpec) rates() []float64 {
 // Configs lowers a validated spec to one simulator Config per run. A
 // single-rate job uses the spec's seed exactly as given (matching
 // seec.RunSyntheticCtx); a multi-point sweep derives each point's seed
-// via Config.SweepSeed, matching seec.LatencyCurveCtx — so a sweep point
-// submitted to the gateway shares its cache entry with the same point
-// computed by the figures CLI conventions.
+// via Config.SweepSeed, as the sweep planner does for every curve — so
+// a sweep point submitted to the gateway shares its cache entry with
+// the same point computed by the figures CLI.
 func (sp *JobSpec) Configs() []seec.Config {
 	base := seec.DefaultConfig()
 	base.Scheme = seec.Scheme(sp.Scheme)

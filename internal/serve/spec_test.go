@@ -31,8 +31,8 @@ func TestDecodeJobSpecSweep(t *testing.T) {
 	if len(cfgs) != 5 {
 		t.Fatalf("want 5 sweep points, got %d", len(cfgs))
 	}
-	// Sweep points derive per-point seeds (LatencyCurveCtx convention), so
-	// gateway cache entries line up with the figures CLI.
+	// Sweep points derive per-point seeds (the planner's SweepSeed
+	// convention), so gateway cache entries line up with the figures CLI.
 	for i, c := range cfgs {
 		want := c
 		want.Seed = 7

@@ -35,7 +35,6 @@ type Aggregator struct {
 	done       int64
 	failed     int64
 	running    int64
-	retries    int64
 	timeouts   int64
 	panics     int64
 	trips      int64
@@ -123,8 +122,6 @@ func (a *Aggregator) Emit(e Event) {
 		a.jobSumNs += e.DurNs
 		a.jobCount++
 		a.bucketCounts[bucketOf(float64(e.DurNs)/1e9)]++
-	case EvJobRetry:
-		a.retries++
 	case EvJobFail, EvJobTimeout, EvJobPanic:
 		a.running--
 		a.failed++
@@ -239,7 +236,6 @@ type SweepStatus struct {
 	Done         int64   `json:"jobs_done"`
 	Failed       int64   `json:"jobs_failed"`
 	Running      int64   `json:"jobs_running"`
-	Retries      int64   `json:"retries"`
 	Timeouts     int64   `json:"timeouts"`
 	Panics       int64   `json:"panics"`
 	BreakerTrips int64   `json:"breaker_trips"`
@@ -320,7 +316,7 @@ func (a *Aggregator) Snapshot() Snapshot {
 		Sweep: SweepStatus{
 			Sweeps: a.sweeps, SweepsDone: a.sweepsDone,
 			Jobs: a.jobs, Done: a.done, Failed: a.failed, Running: a.running,
-			Retries: a.retries, Timeouts: a.timeouts, Panics: a.panics,
+			Timeouts: a.timeouts, Panics: a.panics,
 			BreakerTrips: a.trips, Workers: a.workers,
 		},
 		CheckpointSaves:    a.ckptSaves,
@@ -449,8 +445,6 @@ func (a *Aggregator) WritePrometheus(w io.Writer) error {
 	p("seec_jobs_total{state=\"failed\"} %d\n", s.Sweep.Failed)
 	p("seec_jobs_total{state=\"timeout\"} %d\n", s.Sweep.Timeouts)
 	p("seec_jobs_total{state=\"panic\"} %d\n", s.Sweep.Panics)
-	p("# HELP seec_job_retries_total Job re-runs after a failed attempt.\n")
-	p("# TYPE seec_job_retries_total counter\nseec_job_retries_total %d\n", s.Sweep.Retries)
 	p("# HELP seec_breaker_trips_total Sweep circuit-breaker trips.\n")
 	p("# TYPE seec_breaker_trips_total counter\nseec_breaker_trips_total %d\n", s.Sweep.BreakerTrips)
 	p("# HELP seec_jobs_running Jobs currently executing.\n")

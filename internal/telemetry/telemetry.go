@@ -31,14 +31,11 @@ const (
 	EvSweepDone
 	// EvJobStart: a worker picked up job Job (first attempt).
 	EvJobStart
-	// EvJobDone: job Job completed successfully (Attempt = attempts
-	// used, DurNs = wall time across all attempts).
+	// EvJobDone: job Job completed successfully (Attempt = 1, DurNs =
+	// wall time).
 	EvJobDone
-	// EvJobRetry: job Job failed and is being re-run (Attempt = the
-	// attempt about to start, 2-based).
-	EvJobRetry
-	// EvJobFail: job Job failed terminally for an ordinary reason
-	// (Err = cause, Attempt = attempts used, DurNs = wall time).
+	// EvJobFail: job Job failed for an ordinary reason (Err = cause,
+	// Attempt = 1, DurNs = wall time).
 	EvJobFail
 	// EvJobTimeout: job Job failed terminally by exceeding its per-job
 	// deadline.
@@ -128,7 +125,6 @@ var kindNames = [numKinds]string{
 	EvSweepDone:         "sweep_done",
 	EvJobStart:          "job_start",
 	EvJobDone:           "job_done",
-	EvJobRetry:          "job_retry",
 	EvJobFail:           "job_fail",
 	EvJobTimeout:        "job_timeout",
 	EvJobPanic:          "job_panic",

@@ -85,19 +85,18 @@ func TestAggregatorSweep(t *testing.T) {
 	for i := int32(0); i < 4; i++ {
 		a.Emit(Event{TimeNs: base + int64(i)*1e9, Kind: EvJobStart, Job: i, Attempt: 1})
 	}
-	// Three complete in 2s each, one fails after a retry and a timeout.
+	// Three complete in 2s each, one fails by timing out.
 	for i := int32(0); i < 3; i++ {
 		a.Emit(Event{TimeNs: base + 3e9, Kind: EvJobDone, Job: i, Attempt: 1, DurNs: 2e9})
 	}
-	a.Emit(Event{TimeNs: base + 3e9, Kind: EvJobRetry, Job: 3, Attempt: 2})
-	a.Emit(Event{TimeNs: base + 4e9, Kind: EvJobTimeout, Job: 3, Attempt: 2, DurNs: 4e9, Err: "context deadline exceeded"})
+	a.Emit(Event{TimeNs: base + 4e9, Kind: EvJobTimeout, Job: 3, Attempt: 1, DurNs: 4e9, Err: "context deadline exceeded"})
 	s := a.Snapshot()
 	sw := s.Sweep
 	if sw.Jobs != 10 || sw.Done != 3 || sw.Failed != 1 || sw.Running != 0 {
 		t.Fatalf("counts wrong: %+v", sw)
 	}
-	if sw.Retries != 1 || sw.Timeouts != 1 || sw.Workers != 2 {
-		t.Fatalf("retry/timeout/workers wrong: %+v", sw)
+	if sw.Timeouts != 1 || sw.Workers != 2 {
+		t.Fatalf("timeout/workers wrong: %+v", sw)
 	}
 	if sw.AvgJobSec != 2.0 {
 		t.Fatalf("avg job sec = %v, want 2.0", sw.AvgJobSec)
@@ -109,8 +108,8 @@ func TestAggregatorSweep(t *testing.T) {
 	if sw.PercentDone != 40.0 {
 		t.Fatalf("percent = %v, want 40", sw.PercentDone)
 	}
-	if s.Events != 10 {
-		t.Fatalf("events = %d, want 10", s.Events)
+	if s.Events != 9 {
+		t.Fatalf("events = %d, want 9", s.Events)
 	}
 }
 

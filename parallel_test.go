@@ -8,13 +8,13 @@ import (
 	"time"
 
 	"seec"
+	"seec/internal/plan"
 	"seec/internal/runner"
 )
 
-// The public sweep helpers run their points concurrently but promise
-// results identical to serial execution: every job's RNG seed derives
-// from its own coordinates via Config.SweepSeed, never from shared or
-// ambient state.
+// Sweeps run their points concurrently but promise results identical
+// to serial execution: every job's RNG seed derives from its own
+// coordinates via Config.SweepSeed, never from shared or ambient state.
 
 func curveCfg() seec.Config {
 	cfg := seec.DefaultConfig()
@@ -24,22 +24,37 @@ func curveCfg() seec.Config {
 	return cfg
 }
 
-// TestLatencyCurveParallelDeterminism: the full CurvePoint slice —
-// every statistic of every point — must match between 1 and 8 workers.
-func TestLatencyCurveParallelDeterminism(t *testing.T) {
-	rates := []float64{0.02, 0.08, 0.14, 0.20, 0.26}
-	serial, err := seec.LatencyCurveCtx(context.Background(), curveCfg(), rates, 1)
+// runCurve runs one latency curve — curveCfg at each rate, seeds
+// derived per point — through a planner on workers workers, every
+// point simulating, and returns the outcomes in rate order.
+func runCurve(t *testing.T, ctx context.Context, workers int, rates []float64) ([]plan.Outcome, plan.Stats) {
+	t.Helper()
+	p, err := plan.New(plan.Options{Workers: workers, NoReuse: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, j := range []int{2, 8} {
-		par, err := seec.LatencyCurveCtx(context.Background(), curveCfg(), rates, j)
-		if err != nil {
-			t.Fatal(err)
+	jobs := make([]plan.Job, len(rates))
+	for i, rate := range rates {
+		cfg := curveCfg()
+		cfg.InjectionRate = rate
+		jobs[i] = plan.Job{Cfg: cfg, DeriveSeed: true}
+	}
+	return p.Run(ctx, jobs, seec.RunSyntheticCtx), p.Stats()
+}
+
+// TestLatencyCurveParallelDeterminism: a curve run through the planner
+// must give the same outcome — every statistic of every point — on 1
+// and 4 workers.
+func TestLatencyCurveParallelDeterminism(t *testing.T) {
+	rates := []float64{0.02, 0.08, 0.14, 0.20, 0.26}
+	serial, _ := runCurve(t, context.Background(), 1, rates)
+	for i, o := range serial {
+		if !o.Done || o.Err != nil {
+			t.Fatalf("point %d: done=%v err=%v", i, o.Done, o.Err)
 		}
-		if !reflect.DeepEqual(serial, par) {
-			t.Fatalf("curve differs between workers=1 and workers=%d", j)
-		}
+	}
+	if par, _ := runCurve(t, context.Background(), 4, rates); !reflect.DeepEqual(serial, par) {
+		t.Fatal("curve differs between workers=1 and workers=4")
 	}
 }
 
@@ -108,14 +123,19 @@ func TestShardedStepRace(t *testing.T) {
 	}
 }
 
-// TestLatencyCurveCancellation: a pre-cancelled context must abort the
-// sweep with the context's error, not run it.
+// TestLatencyCurveCancellation: a curve planned under a pre-cancelled
+// context must not run: no point executes or simulates.
 func TestLatencyCurveCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := seec.LatencyCurveCtx(ctx, curveCfg(), []float64{0.02, 0.10, 0.20}, 4)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	outs, st := runCurve(t, ctx, 4, []float64{0.02, 0.10, 0.20})
+	for i, o := range outs {
+		if o.Done {
+			t.Errorf("point %d executed under a cancelled context: %+v", i, o)
+		}
+	}
+	if st.Simulated != 0 {
+		t.Errorf("simulated=%d, want 0", st.Simulated)
 	}
 }
 
@@ -143,11 +163,11 @@ func requireDeadlineMidRun(t *testing.T, sweep func(ctx context.Context, cfg see
 	}
 }
 
-// TestLatencyCurveDeadlineMidRun: each point runs under the curve's
-// context.
+// TestLatencyCurveDeadlineMidRun: a curve point stops when its
+// context's deadline fires mid-run.
 func TestLatencyCurveDeadlineMidRun(t *testing.T) {
 	requireDeadlineMidRun(t, func(ctx context.Context, cfg seec.Config) error {
-		_, err := seec.LatencyCurveCtx(ctx, cfg, []float64{0.05, 0.10}, 2)
+		_, err := seec.RunSyntheticCtx(ctx, cfg)
 		return err
 	})
 }

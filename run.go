@@ -224,9 +224,9 @@ func runSyntheticLoop(ctx context.Context, s *Sim, cfg Config, hb func(RunEvent)
 	return res, nil
 }
 
-// Fork describes one measurement run branched off a shared warmed-up
-// checkpoint (see RunSyntheticForkedCtx). The zero value re-runs the
-// base configuration unchanged.
+// Fork describes one measurement run branched off a warm checkpoint
+// (see RunFork). The zero value re-runs the base configuration
+// unchanged.
 type Fork struct {
 	// Seed, when non-zero, reseeds every RNG stream (network and
 	// per-node traffic) at the fork point, giving the fork an
@@ -237,22 +237,21 @@ type Fork struct {
 	Rate float64
 }
 
-// RunSyntheticForkedCtx amortizes warmup across related measurement
-// runs: it warms one simulation up to cfg.Warmup, checkpoints it to
-// memory, then restores the checkpoint once per fork and runs each
-// fork's measurement phase (applying its Seed/Rate overrides at the
-// fork point) across workers concurrent workers (<= 0: GOMAXPROCS). A
-// fork with zero overrides is byte-identical to RunSyntheticCtx of the
-// same config.
-// Results come back in fork order and record the overridden Seed/Rate
-// in their Config. Instrument and Telemetry hooks and checkpoint files
-// are not applied to forks; CI early stopping (cfg.StopCI) is.
-// Deflection schemes are not checkpointable and fail with
-// checkpoint.ErrUnsupported.
-func RunSyntheticForkedCtx(ctx context.Context, cfg Config, forks []Fork, workers int) ([]Result, error) {
-	base := cfg
-	base.Instrument, base.Telemetry = nil, nil
-	base.CheckpointPath, base.ResumePath = "", ""
+// forkBase strips what a warm checkpoint and its forks never apply:
+// Instrument and Telemetry hooks and checkpoint files.
+func forkBase(cfg Config) Config {
+	cfg.Instrument, cfg.Telemetry = nil, nil
+	cfg.CheckpointPath, cfg.ResumePath = "", ""
+	return cfg
+}
+
+// WarmCheckpoint runs cfg's warmup (cfg.Warmup cycles) and returns the
+// warm state as an in-memory checkpoint, from which RunFork branches
+// any number of measurement runs. Instrument and Telemetry hooks and
+// checkpoint files are not applied. Deflection schemes are not
+// checkpointable and fail with checkpoint.ErrUnsupported.
+func WarmCheckpoint(ctx context.Context, cfg Config) ([]byte, error) {
+	base := forkBase(cfg)
 	s, err := NewSim(base)
 	if err != nil {
 		return nil, err
@@ -271,24 +270,33 @@ func RunSyntheticForkedCtx(ctx context.Context, cfg Config, forks []Fork, worker
 	if err := s.SaveCheckpoint(&buf); err != nil {
 		return nil, err
 	}
-	snap := buf.Bytes()
-	return runner.Sweep(ctx, forks, func(ctx context.Context, fk Fork) (Result, error) {
-		fs, err := NewSimFromCheckpoint(base, bytes.NewReader(snap))
-		if err != nil {
-			return Result{}, err
-		}
-		fcfg := base
-		if fk.Seed != 0 {
-			fcfg.Seed = fk.Seed
-			fs.Reseed(fk.Seed)
-		}
-		if fk.Rate > 0 {
-			fcfg.InjectionRate = fk.Rate
-			fs.Synthetic.Rate = fk.Rate
-		}
-		fs.Cfg = fcfg // Snapshot stamps Result.Config with the fork's overrides
-		return runSyntheticLoop(ctx, fs, fcfg, nil)
-	}, runner.WithWorkers(workers))
+	return buf.Bytes(), nil
+}
+
+// RunFork restores snap, a checkpoint WarmCheckpoint made from cfg,
+// applies fk's Seed/Rate overrides at the fork point and runs the
+// measurement phase to cfg.Warmup+cfg.SimCycles. A fork with zero
+// overrides is byte-identical to RunSyntheticCtx of the same config.
+// The result records the overridden Seed/Rate in its Config; it
+// depends only on (cfg, fk), so forks of one snapshot may run
+// concurrently and in any order. Instrument and Telemetry hooks and
+// checkpoint files are not applied; CI early stopping (cfg.StopCI) is.
+func RunFork(ctx context.Context, cfg Config, snap []byte, fk Fork) (Result, error) {
+	base := forkBase(cfg)
+	s, err := NewSimFromCheckpoint(base, bytes.NewReader(snap))
+	if err != nil {
+		return Result{}, err
+	}
+	if fk.Seed != 0 {
+		base.Seed = fk.Seed
+		s.Reseed(fk.Seed)
+	}
+	if fk.Rate > 0 {
+		base.InjectionRate = fk.Rate
+		s.Synthetic.Rate = fk.Rate
+	}
+	s.Cfg = base // Snapshot stamps Result.Config with the fork's overrides
+	return runSyntheticLoop(ctx, s, base, nil)
 }
 
 // Reseed rewinds every RNG stream — the network's arbitration stream
@@ -352,12 +360,12 @@ func (s *Sim) Snapshot() Result {
 
 // SweepSeed derives the per-job RNG seed for this configuration from
 // (Seed, scheme, routing, pattern, injection rate, mesh size, VC
-// shape), plus any extra tags (e.g. an application name). Sweep
-// helpers (LatencyCurveCtx, SaturationThroughputWith, the internal/exp
-// generators) seed every job this way rather than from shared or
-// ambient state, so each sweep point owns an independent, reproducible
-// RNG stream and parallel execution at any worker count is
-// byte-identical to serial execution. RunSyntheticCtx itself always
+// shape), plus any extra tags (e.g. an application name). Sweeps
+// (SaturationThroughputWith, the internal/exp generators through the
+// internal/plan planner) seed every job this way rather than from
+// shared or ambient state, so each sweep point owns an independent,
+// reproducible RNG stream and parallel execution at any worker count
+// is byte-identical to serial execution. RunSyntheticCtx itself always
 // uses Config.Seed exactly as given.
 func (c Config) SweepSeed(tags ...string) uint64 {
 	h := rng.NewSeedHash(c.Seed).
@@ -378,33 +386,6 @@ func (c Config) SweepSeed(tags ...string) uint64 {
 		h = h.String(tag)
 	}
 	return h.Seed()
-}
-
-// CurvePoint is one point on a latency-throughput curve.
-type CurvePoint struct {
-	Rate   float64
-	Result Result
-}
-
-// LatencyCurveCtx sweeps injection rates and returns the latency curve
-// (Fig. 8's data). Points past severe saturation still return (with
-// saturated latency values), matching how the paper plots its curves.
-// The points run concurrently across workers workers (<= 0:
-// runtime.GOMAXPROCS(0)), each cancelled with ctx; each derives its
-// seed via Config.SweepSeed, so the curve is identical at any
-// parallelism.
-func LatencyCurveCtx(ctx context.Context, cfg Config, rates []float64, workers int) ([]CurvePoint, error) {
-	pts, err := runner.Sweep(ctx, rates, func(ctx context.Context, rate float64) (CurvePoint, error) {
-		c := cfg
-		c.InjectionRate = rate
-		c.Seed = c.SweepSeed()
-		res, err := RunSyntheticCtx(ctx, c)
-		return CurvePoint{Rate: rate, Result: res}, err
-	}, runner.WithWorkers(workers))
-	if err != nil {
-		return nil, err
-	}
-	return pts, nil
 }
 
 // ZeroLoadLatency measures the average latency at a near-zero rate.
@@ -454,20 +435,23 @@ func SaturationThroughputWith(ctx context.Context, cfg Config, workers int, run 
 		good bool
 		res  Result
 	}
-	at := func(ctx context.Context, rate float64) (probe, error) {
-		c := cfg
-		c.InjectionRate = rate
-		c.Seed = c.SweepSeed()
-		res, err := run(ctx, c)
-		if err != nil {
-			return probe{}, err
-		}
-		return probe{good: !res.Stalled && res.AvgLatency > 0 && res.AvgLatency <= limit, res: res}, nil
+	// at probes every rate concurrently, results in rate order.
+	at := func(rates []float64) ([]probe, error) {
+		return runner.Map(ctx, len(rates), func(ctx context.Context, i int) (probe, error) {
+			c := cfg
+			c.InjectionRate = rates[i]
+			c.Seed = c.SweepSeed()
+			res, err := run(ctx, c)
+			if err != nil {
+				return probe{}, err
+			}
+			return probe{good: !res.Stalled && res.AvgLatency > 0 && res.AvgLatency <= limit, res: res}, nil
+		}, runner.WithWorkers(workers))
 	}
 	// Phase 1: exponential probe up, all points at once, to bracket the
 	// knee between the last good and the first bad grid point.
 	grid := []float64{0.02, 0.05, 0.11, 0.23, 0.47, 1.0}
-	ps, err := runner.Sweep(ctx, grid, at, runner.WithWorkers(workers))
+	ps, err := at(grid)
 	if err != nil {
 		return 0, Result{}, err
 	}
@@ -484,7 +468,7 @@ func SaturationThroughputWith(ctx context.Context, cfg Config, workers int, run 
 	// interior quartile points together.
 	for hi-lo > 0.005 {
 		mids := []float64{lo + (hi-lo)/4, lo + (hi-lo)/2, lo + 3*(hi-lo)/4}
-		ps, err := runner.Sweep(ctx, mids, at, runner.WithWorkers(workers))
+		ps, err := at(mids)
 		if err != nil {
 			return 0, Result{}, err
 		}
