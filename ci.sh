@@ -68,12 +68,13 @@ cmp "$PLANCACHE/run1.out" "$PLANCACHE/run2.out" || {
 }
 rm -rf "$PLANCACHE"
 # Fuzz smoke: a few seconds per fuzzer over the parsers and invariants
-# that take arbitrary input (fault specs, histograms, traffic
-# destinations) and over checkpoint round trips. Regressions found
-# here land in testdata/ corpora.
+# that take arbitrary input (fault specs, job specs, cached result
+# payloads, histograms, traffic destinations) and over checkpoint round
+# trips. Regressions found here land in testdata/ corpora.
 go test -fuzz FuzzCheckpointRoundTrip -fuzztime 10s -run XXX .
 go test -fuzz FuzzFaultSpec -fuzztime 10s -run XXX ./internal/fault
 go test -fuzz FuzzJobSpec -fuzztime 10s -run XXX ./internal/serve
+go test -fuzz FuzzDecodeResult -fuzztime 10s -run XXX ./internal/serve
 go test -fuzz FuzzHistogram -fuzztime 10s -run XXX ./internal/stats
 go test -fuzz FuzzDestInRange -fuzztime 10s -run XXX ./internal/traffic
 echo "ci: all checks passed"

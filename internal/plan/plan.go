@@ -340,8 +340,7 @@ func (p *Planner) RunOne(ctx context.Context, cfg seec.Config, run RunFunc) (see
 	p.bump(func(s *Stats) { s.Jobs++ })
 	key := serve.CacheKey(cfg)
 	if b, ok := p.lookup(key); ok {
-		var res seec.Result
-		if err := json.Unmarshal(b, &res); err == nil {
+		if res, err := serve.DecodeResult(b); err == nil {
 			return res, nil
 		}
 		// Undecodable payload (format drift): re-simulate.
@@ -480,8 +479,7 @@ func (p *Planner) Run(ctx context.Context, jobs []Job, run RunFunc) []Outcome {
 	var pending []int
 	for _, i := range order {
 		if b, ok := p.lookup(keys[i]); ok {
-			var res seec.Result
-			if err := json.Unmarshal(b, &res); err == nil {
+			if res, err := serve.DecodeResult(b); err == nil {
 				outs[i] = Outcome{Result: res, Done: true}
 				reused++
 				continue

@@ -3,9 +3,9 @@ package serve
 import (
 	"fmt"
 	"hash/crc32"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync/atomic"
 )
 
@@ -18,54 +18,59 @@ const storeMagic = "SEECRES1"
 
 // Store is the content-addressed result object store:
 //
-//	<root>/objects/<key[:2]>/<key>       blobs, CRC-framed
-//	<root>/quarantine/<key>.<n>          corrupt blobs, moved aside
+//	<root>/objects/<key[:2]>/<key>             blobs, CRC-framed
+//	<root>/objects/tmp/<key>.<nonce><n>.tmp    Puts being staged
+//	<root>/quarantine/<key>.<n>                corrupt blobs, moved aside
 //
-// Writes are atomic and durable (tmp + fsync + rename + dir fsync);
-// reads verify the CRC frame and quarantine corrupt blobs instead of
-// serving them. The store is idempotent by construction: keys are
-// content addresses of the run's semantics, so concurrent or repeated
-// Puts of the same key write identical bytes and last-rename-wins is
-// harmless.
+// Writes are atomic and durable (staged file + fsync + rename + dir
+// fsync); reads verify the CRC frame and quarantine corrupt blobs
+// instead of serving them. The store is idempotent by construction:
+// keys are content addresses of the run's semantics, so concurrent or
+// repeated Puts of the same key write identical bytes and
+// last-rename-wins is harmless. Hex shard names cannot collide with
+// the staging directory's.
 type Store struct {
-	fs   FS
-	root string
-	// tmpSeq makes tmp names unique per Put: two workers writing the
-	// same key concurrently (a resubmitted sweep racing its original)
-	// must not rename each other's tmp out from underneath.
+	fs     FS
+	root   string
+	tmpDir string
+	// nonce and tmpSeq make staged names unique per Put, across every
+	// Store open on the root: two writers of the same key (a
+	// resubmitted sweep racing its original, or seecd and a figures
+	// run sharing the store) must not truncate or rename each other's
+	// staged file. The nonce is 64 bits from math/rand/v2's global
+	// generator, which every process seeds from the OS.
+	nonce  string
 	tmpSeq atomic.Uint64
 }
 
 // NewStore opens (creating if needed) the store rooted at root.
 func NewStore(fs FS, root string) (*Store, error) {
-	for _, d := range []string{root, filepath.Join(root, "objects"), filepath.Join(root, "quarantine")} {
+	s := &Store{
+		fs: fs, root: root,
+		tmpDir: filepath.Join(root, "objects", "tmp"),
+		nonce:  fmt.Sprintf("%016x", rand.Uint64()),
+	}
+	for _, d := range []string{s.tmpDir, filepath.Join(root, "quarantine")} {
 		if err := fs.MkdirAll(d); err != nil {
 			return nil, err
 		}
 	}
-	s := &Store{fs: fs, root: root}
 	s.sweepTemp()
 	return s, nil
 }
 
-// sweepTemp removes stale *.tmp files left by a crash mid-Put. Best
-// effort: a leftover tmp is garbage, never served.
+// sweepTemp removes the staged files a crash mid-Put left behind, with
+// one read of the staging directory however many blobs the store
+// holds. Best effort: a staged file is garbage, never served. A file
+// that another live process is staging on the same root goes too, and
+// that process's Put then fails (DESIGN §12.3).
 func (s *Store) sweepTemp() {
-	objs := filepath.Join(s.root, "objects")
-	dirs, err := s.fs.ReadDir(objs)
+	names, err := s.fs.ReadDir(s.tmpDir)
 	if err != nil {
 		return
 	}
-	for _, d := range dirs {
-		names, err := s.fs.ReadDir(filepath.Join(objs, d))
-		if err != nil {
-			continue
-		}
-		for _, n := range names {
-			if strings.HasSuffix(n, ".tmp") {
-				s.fs.Remove(filepath.Join(objs, d, n))
-			}
-		}
+	for _, n := range names {
+		s.fs.Remove(filepath.Join(s.tmpDir, n))
 	}
 }
 
@@ -104,7 +109,7 @@ func (s *Store) Put(key string, payload []byte) error {
 		return err
 	}
 	dst := s.path(key)
-	tmp := fmt.Sprintf("%s.%d.tmp", dst, s.tmpSeq.Add(1))
+	tmp := filepath.Join(s.tmpDir, fmt.Sprintf("%s.%s%d.tmp", key, s.nonce, s.tmpSeq.Add(1)))
 	f, err := s.fs.Create(tmp)
 	if err != nil {
 		return err
