@@ -8,6 +8,14 @@
 set -eu
 go build ./...
 go vet ./...
+# One pool: internal/exp fans every cell out on the sweep planner
+# (plan.Planner's Map and Run), whose options alone configure workers,
+# job budget, breaker, events and progress. A second fan-out path in
+# internal/exp would import the runner, so it fails here.
+if go list -f '{{join .Imports "\n"}}' ./internal/exp | grep -qx 'seec/internal/runner'; then
+    echo "ci: internal/exp imports seec/internal/runner; fan cells out on the planner's Map" >&2
+    exit 1
+fi
 # Formatting gate: every Go source file must be gofmt-clean (the
 # benchmark's build directory is skipped; it is not source).
 unformatted=$(find . -name '*.go' -not -path './.bench_build/*' -exec gofmt -l {} +)

@@ -108,9 +108,18 @@ func main() {
 	default:
 		usage("unknown scale %q", *scale)
 	}
-	sc.Workers = *jobs
-	sc.JobTimeout = *jobTimeout
-	sc.MaxFailures = *maxFailures
+	// The sweep planner's options are the one place the sweep's
+	// execution is configured: its worker pool, per-cell budget,
+	// breaker, events and progress. The planner is built once they are
+	// final, below.
+	po := plan.Options{
+		Workers:     *jobs,
+		JobTimeout:  *jobTimeout,
+		MaxFailures: *maxFailures,
+		WarmupShare: *warmupShare,
+		NoReuse:     *noReuse,
+		CacheDir:    *cacheDir,
+	}
 
 	// Live sweep telemetry: event bus + aggregator, optionally served
 	// over HTTP and/or logged as JSONL. Pure observation — tables are
@@ -125,17 +134,17 @@ func main() {
 		if addr := tel.Addr(); addr != "" {
 			fmt.Fprintf(os.Stderr, "figures: telemetry: serving /status, /metrics and /debug/pprof on http://%s\n", addr)
 		}
-		sc.SweepEvents = tel.Bus
+		po.Bus = tel.Bus
 		sc.RunEvents = tel.Hook()
 	}
 	if *progress > 0 {
-		sc.ProgressEvery = *progress
+		po.ProgressEvery = *progress
 		if tel != nil {
-			sc.Progress = func(done, total int) {
+			po.Progress = func(done, total int) {
 				fmt.Fprintf(os.Stderr, "figures: %s\n", tel.ProgressLine())
 			}
 		} else {
-			sc.Progress = func(done, total int) {
+			po.Progress = func(done, total int) {
 				fmt.Fprintf(os.Stderr, "figures: jobs %d/%d done\n", done, total)
 			}
 		}
@@ -159,7 +168,7 @@ func main() {
 		// The watchdog alone writes no per-run files (snapshots share
 		// stderr via single atomic writes), so it runs at any -j.
 		if inst.TracePath != "" || inst.EventsPath != "" || inst.MetricsPath != "" {
-			sc.Workers = 1
+			po.Workers = 1
 			if *jobs > 1 {
 				fmt.Fprintln(os.Stderr, "figures: -trace/-trace-events/-metrics-out force -j 1 for deterministic per-run file numbering")
 			}
@@ -174,27 +183,13 @@ func main() {
 			o.Note = "figures " + label
 			return o.Hook()(s)
 		}
+		// Instrumented runs must neither reuse nor fork, so an
+		// instrumented scale gets a NoReuse planner (-warmup-share is
+		// rejected above); the scale then runs on it, and the ledger
+		// below counts what really simulated.
+		po.NoReuse = true
 	}
 
-	// The sweep planner: constructed after the scale is final so its
-	// worker pool and telemetry wiring match the scale's. Instrumented
-	// runs must neither reuse nor fork, so an instrumented scale gets a
-	// NoReuse planner (-warmup-share is rejected above); the scale then
-	// runs on it, and the ledger below counts what really simulated.
-	po := plan.Options{
-		Workers:       sc.Workers,
-		JobTimeout:    sc.JobTimeout,
-		MaxFailures:   sc.MaxFailures,
-		WarmupShare:   *warmupShare,
-		NoReuse:       *noReuse || inst.Enabled(),
-		CacheDir:      *cacheDir,
-		Bus:           sc.SweepEvents,
-		Progress:      sc.Progress,
-		ProgressEvery: sc.ProgressEvery,
-	}
-	if tel != nil {
-		po.Agg = tel.Agg
-	}
 	planner, err := plan.New(po)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "figures: plan: %v\n", err)

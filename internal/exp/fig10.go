@@ -119,7 +119,7 @@ func Fig11(s Scale) *Table {
 		bad                     bool
 	}
 	// Two independent measurement points per scheme, flattened so the
-	// planner (or the fallback pool) schedules all of them together.
+	// scale's planner schedules all of them together.
 	measRates := []float64{kneeRate, overRate}
 	cfgs := make([]seec.Config, 0, len(schemes)*len(measRates))
 	for _, sc := range schemes {

@@ -1,7 +1,9 @@
 package exp
 
 import (
+	"context"
 	"os"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -152,5 +154,38 @@ func TestFig9ProbesCarryScaleHooks(t *testing.T) {
 	if inst.Load() == 0 || tel.Load() != inst.Load() {
 		t.Fatalf("Fig. 9 probes: %d instrument calls, %d telemetry hooks; want the same nonzero count",
 			inst.Load(), tel.Load())
+	}
+}
+
+// TestSelfSteppedRunsCarryInstrument: Table 3's drains and Table 1's
+// routing-liveness probes build and step their own simulations, and
+// each still calls the scale's Instrument hook once and its finisher
+// once its loop completes.
+func TestSelfSteppedRunsCarryInstrument(t *testing.T) {
+	s := detScale(2)
+	s.MeshSizes = []int{3}
+	s.SimCycles = 300
+	var calls, dones atomic.Int64
+	s.Instrument = func(*seec.Sim) func() {
+		calls.Add(1)
+		return func() { dones.Add(1) }
+	}
+	tab := Table3(s)
+	if n := int64(len(tab.Rows)); n != 2 || calls.Load() != n || dones.Load() != n {
+		t.Errorf("Table 3: %d instrument calls and %d finishes for %d drain cells, want one each of 2",
+			calls.Load(), dones.Load(), n)
+	}
+	for _, row := range tab.Rows {
+		if strings.Contains(strings.Join(row, " "), "err") {
+			t.Errorf("Table 3 row %v failed", row)
+		}
+	}
+	calls.Store(0)
+	dones.Store(0)
+	if !measureRoutingDLFree(context.Background(), seec.SchemeSEEC, s) {
+		t.Error("SEEC failed the routing-liveness probe")
+	}
+	if calls.Load() != 1 || dones.Load() != 1 {
+		t.Errorf("routing probe: %d instrument calls and %d finishes, want 1 and 1", calls.Load(), dones.Load())
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"seec"
+	"seec/internal/plan"
 )
 
 // resScale keeps the resilience sweep (25 cells) test-sized.
@@ -101,10 +102,10 @@ func TestCellsSurvivesPanickingCell(t *testing.T) {
 	}
 }
 
-// TestCellsJobTimeout: a cell exceeding Scale.JobTimeout is cancelled
-// through its context and renders its own error cell.
+// TestCellsJobTimeout: a cell exceeding its planner's JobTimeout is
+// cancelled through its context and renders its own error cell.
 func TestCellsJobTimeout(t *testing.T) {
-	s := Scale{Workers: 2, JobTimeout: 10 * time.Millisecond}
+	s, _ := withPlanner(t, Scale{Workers: 2}, plan.Options{JobTimeout: 10 * time.Millisecond})
 	vals := cells(s, 3, func(ctx context.Context, i int) (string, error) {
 		if i == 1 {
 			<-ctx.Done()
@@ -117,10 +118,10 @@ func TestCellsJobTimeout(t *testing.T) {
 	}
 }
 
-// TestCellsMaxFailures: a positive Scale.MaxFailures trips the breaker;
-// cancelled cells keep their zero value.
+// TestCellsMaxFailures: a positive MaxFailures on the planner trips the
+// breaker; cancelled cells keep their zero value.
 func TestCellsMaxFailures(t *testing.T) {
-	s := Scale{Workers: 1, MaxFailures: 2}
+	s, _ := withPlanner(t, Scale{Workers: 1}, plan.Options{MaxFailures: 2})
 	ran := 0
 	vals := cells(s, 50, func(_ context.Context, i int) (string, error) {
 		ran++
@@ -135,6 +136,28 @@ func TestCellsMaxFailures(t *testing.T) {
 	// The tail was cancelled before running.
 	if got := strings.Count(strings.Join(vals, "|"), "cell"); got != ran {
 		t.Fatalf("%d rendered cells for %d runs", got, ran)
+	}
+}
+
+// TestCellsInstrumentedKeepBudget: an instrumented scale runs its cells
+// on its sharing planner's Fresh planner, which keeps that planner's
+// JobTimeout, so a cell past it still times out.
+func TestCellsInstrumentedKeepBudget(t *testing.T) {
+	s, _ := withPlanner(t, Scale{Workers: 2}, plan.Options{WarmupShare: true, JobTimeout: 10 * time.Millisecond})
+	s.Instrument = func(*seec.Sim) func() { return nil }
+	vals := cells(s, 2, func(ctx context.Context, i int) (string, error) {
+		if i == 0 {
+			return "ok", nil
+		}
+		select {
+		case <-ctx.Done():
+			return "timed out", ctx.Err()
+		case <-time.After(10 * time.Second):
+			return "unbounded", errors.New("no deadline reached the cell")
+		}
+	})
+	if vals[0] != "ok" || vals[1] != "timed out" {
+		t.Fatalf("vals = %v, want [ok timed out]", vals)
 	}
 }
 
@@ -159,8 +182,8 @@ func captureStderr(t *testing.T, fn func()) string {
 }
 
 // TestFailureReportsShareOneForm: a failed simulation cell (simCells,
-// through the planner) and a failed generic cell (cells, through the
-// runner) report in one form — cell index, attempts, elapsed time and
+// through the planner's Run) and a failed generic cell (cells, through
+// its Map) report in one form — cell index, attempts, elapsed time and
 // unwrapped cause, then the aggregate count.
 func TestFailureReportsShareOneForm(t *testing.T) {
 	form := regexp.MustCompile(`^exp: cell 1 failed after 1 attempt\(s\) in [0-9.]+[µnm]?s: (.+)\nexp: 1/2 cells failed\n$`)

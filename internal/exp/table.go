@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"time"
 
 	"seec"
 	"seec/internal/plan"
@@ -112,17 +111,15 @@ type Scale struct {
 	SatCycles    int64     // cycles per point during saturation search
 	MaxAppCycles int64
 
-	// Workers bounds the worker pool the generators fan their
-	// independent simulations out across; 0 selects
-	// runtime.GOMAXPROCS(0). Every job derives its RNG seed from its
-	// own coordinates (Config.SweepSeed), so the rendered tables are
-	// byte-identical at any worker count.
-	Workers int
-
-	// JobTimeout bounds each simulation cell's wall time; a cell past
-	// its deadline is cancelled (the simulator polls its context) and
-	// renders as an error cell. 0 leaves cells unbounded.
-	JobTimeout time.Duration
+	// Workers and SweepEvents configure the pool of the planner a
+	// scale without a Planner builds (see planner): its worker count
+	// (0 selects runtime.GOMAXPROCS(0)) and the bus that receives its
+	// sweep and job events. An attached Planner's own options rule
+	// instead. Every job derives its RNG seed from its own coordinates
+	// (Config.SweepSeed), so the rendered tables are byte-identical at
+	// any worker count.
+	Workers     int
+	SweepEvents *telemetry.Bus
 
 	// Shards has no effect.
 	//
@@ -130,68 +127,59 @@ type Scale struct {
 	// is the perfbench module, which sets it to 1.
 	Shards int
 
-	// MaxFailures arms the sweep circuit breaker: after this many
-	// failed cells the remaining ones are cancelled and render as empty
-	// cells. 0 (the default) drains every cell regardless of failures,
-	// reporting the aggregate on stderr at the end.
-	MaxFailures int
-
-	// Instrument is copied into the Config of every simulation a
-	// generator launches (see seec.Config.Instrument); cmd/figures uses
+	// Instrument is attached to every simulation a generator launches,
+	// through seec.Config.Instrument or, for the simulations Table 1
+	// and Table 3 build and step themselves, directly; cmd/figures uses
 	// it to attach tracers, metrics and watchdogs to figure runs.
 	// Observation only — rendered tables are identical either way, and
 	// an instrumented scale never reuses or forks a run (see planner).
 	Instrument func(*seec.Sim) func()
 
-	// SweepEvents, when non-nil, receives structured job-lifecycle
-	// events from every cell fan-out (runner.WithTelemetry). RunEvents
-	// and HeartbeatEvery are copied into each launched simulation's
-	// Config (see seec.Config.Telemetry), feeding in-run heartbeats to
-	// the same bus. All observation only.
-	SweepEvents    *telemetry.Bus
-	RunEvents      func(*seec.Sim) func(seec.RunEvent)
-	HeartbeatEvery int64
-
-	// Progress, when non-nil, is invoked with monotonic (done, total)
-	// counts as cells complete, at most once per ProgressEvery
-	// (0 = every completion). cmd/figures uses it to print ETA-aware
-	// progress lines during long sweeps.
-	Progress      func(done, total int)
-	ProgressEvery time.Duration
+	// RunEvents is copied into each launched simulation's Config (see
+	// seec.Config.Telemetry), feeding its in-run events to a bus.
+	// Observation only.
+	RunEvents func(*seec.Sim) func(seec.RunEvent)
 
 	// Planner, when non-nil, is the memoizing sweep planner
-	// (internal/plan) every simulation a generator launches runs
-	// through: grid generators compile their whole cell list into one
-	// reuse-aware schedule (see simCells), and chokepoint runs
-	// (saturation probes, one-off measurements) resolve through its
-	// cache. Its always-on layers — in-batch dedup, content-addressed
-	// memoization, cost-model scheduling — are byte-identity-preserving;
-	// with its WarmupShare option set, rate sweeps also fork from shared
-	// warm checkpoints, which changes the sampling plan. See
-	// Scale.planner for when it is not used.
+	// (internal/plan) every cell and every simulation a generator
+	// launches runs through: grid generators compile their whole cell
+	// list into one reuse-aware schedule (see simCells), the other
+	// generators fan their cells out on its pool (see cells), and
+	// chokepoint runs (saturation probes, one-off measurements) resolve
+	// through its cache. Its options are the one place a sweep's
+	// workers, per-cell job timeout, failure breaker, events and
+	// progress are set. Its always-on layers — in-batch dedup,
+	// content-addressed memoization, cost-sorted dispatch — are
+	// byte-identity-preserving; with its WarmupShare option set, rate
+	// sweeps also fork from shared warm checkpoints, which changes the
+	// sampling plan. See Scale.planner for what an instrumented scale
+	// runs on.
 	Planner *plan.Planner
 }
 
-// planner returns the planner the scale's simulations run through: the
-// attached Planner, unless none is attached, or an Instrument is set
-// and the attached planner is not Fresh. Then it is a fresh planner
-// over the scale's own pool, telemetry and progress knobs with
-// NoReuse, so every job simulates (no cache read or write, no dedup)
-// and none forks (WarmupShare unset). An instrument's per-run
-// artifacts come only from runs that execute, and observing must not
-// change the numbers. The fresh planner has no store, so building one
-// is cheap; a driver that attaches a Fresh planner keeps one ledger.
+// planner returns the planner the scale's cells and simulations run
+// through:
+//   - the attached Planner;
+//   - with an Instrument set, the attached Planner's Fresh planner, on
+//     its pool but with NoReuse and no WarmupShare, so every job
+//     simulates (no cache read or write, no dedup) and none forks. An
+//     instrument's per-run artifacts come only from runs that execute,
+//     and observing must not change the numbers. A driver that
+//     attaches a planner that is already fresh keeps one ledger;
+//   - with no Planner attached, a NoReuse planner over Workers and
+//     SweepEvents.
+//
+// The planners built here have no store, so building one is cheap.
 func (s Scale) planner() *plan.Planner {
-	if s.Planner != nil && (s.Instrument == nil || s.Planner.Fresh()) {
-		return s.Planner
+	switch {
+	case s.Planner == nil:
+		// New fails only opening a store, and this planner has none.
+		p, _ := plan.New(plan.Options{Workers: s.Workers, NoReuse: true, Bus: s.SweepEvents})
+		return p
+	case s.Instrument != nil:
+		return s.Planner.Fresh()
 	}
-	// New fails only opening a store, and this planner has none.
-	p, _ := plan.New(plan.Options{
-		Workers: s.Workers, JobTimeout: s.JobTimeout, MaxFailures: s.MaxFailures,
-		NoReuse: true, Bus: s.SweepEvents,
-		Progress: s.Progress, ProgressEvery: s.ProgressEvery,
-	})
-	return p
+	return s.Planner
 }
 
 // runSynthetic resolves one synthetic cell through the scale's
@@ -204,7 +192,7 @@ func (s Scale) runSynthetic(ctx context.Context, cfg seec.Config) (seec.Result, 
 
 // runSyntheticDirect is seec.RunSyntheticCtx with the scale's hooks
 // attached, the RunFunc the planner executes on a miss. The context
-// comes from the cell's runner slot, so per-job deadlines and the
+// comes from the cell's pool slot, so per-job deadlines and the
 // circuit breaker can interrupt a run between cycles.
 func (s Scale) runSyntheticDirect(ctx context.Context, cfg seec.Config) (seec.Result, error) {
 	return seec.RunSyntheticCtx(ctx, s.withHooks(cfg))
@@ -225,8 +213,20 @@ func (s Scale) runApplication(ctx context.Context, cfg seec.Config, app string, 
 func (s Scale) withHooks(cfg seec.Config) seec.Config {
 	cfg.Instrument = s.Instrument
 	cfg.Telemetry = s.RunEvents
-	cfg.HeartbeatEvery = s.HeartbeatEvery
 	return cfg
+}
+
+// instrument attaches the scale's Instrument hook to a simulation that
+// a generator builds and steps itself, and returns the finisher to
+// call once its loop completes (a no-op without a hook), as the run
+// loops do for the simulations they launch.
+func (s Scale) instrument(sim *seec.Sim) func() {
+	if s.Instrument != nil {
+		if done := s.Instrument(sim); done != nil {
+			return done
+		}
+	}
+	return func() {}
 }
 
 // Quick returns the fast preset used by tests and default CLI runs.

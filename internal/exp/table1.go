@@ -81,7 +81,9 @@ func measureNoMisroute(ctx context.Context, scheme seec.Scheme, s Scale) bool {
 // far past saturation and checks for liveness. The verdict is a
 // deterministic function of the config, so it memoizes through the
 // planner under a measurement key; a cancelled probe returns an error
-// from the compute and is never cached (plan.Memoize's contract).
+// from the compute and is never cached (plan.Memoize's contract). The
+// probe builds and steps its own simulation, so it attaches the
+// scale's Instrument itself.
 func measureRoutingDLFree(ctx context.Context, scheme seec.Scheme, s Scale) bool {
 	cfg := synthCfg(scheme, 4, 2, "uniform_random", s.SimCycles)
 	cfg.InjectionRate = 0.40
@@ -92,16 +94,17 @@ func measureRoutingDLFree(ctx context.Context, scheme seec.Scheme, s Scale) bool
 			if err != nil {
 				return false, nil // deterministic config rejection: a cacheable N
 			}
-			for sim.Cycle() < cfg.Warmup+s.SimCycles {
+			done := s.instrument(sim)
+			live := true
+			for live && sim.Cycle() < cfg.Warmup+s.SimCycles {
 				if sim.Cycle()&1023 == 0 && ctx.Err() != nil {
 					return false, ctx.Err()
 				}
 				sim.Step()
-				if sim.Stalled(4000) {
-					return false, nil
-				}
+				live = !sim.Stalled(4000)
 			}
-			return true, nil
+			done()
+			return live, nil
 		})
 	return ok && err == nil
 }

@@ -30,7 +30,8 @@ func Table3(s Scale) *Table {
 	// The measured triple is a deterministic function of the config, so
 	// it memoizes through the planner as a derived measurement. All
 	// fields round-trip JSON exactly; a cancelled drain returns an
-	// error and is never cached.
+	// error and is never cached. The drain builds and steps its own
+	// simulation, so it attaches the scale's Instrument itself.
 	type drainMeas struct {
 		AvgSeek float64
 		MaxSeek int64
@@ -47,6 +48,7 @@ func Table3(s Scale) *Table {
 				if err != nil {
 					return drainMeas{}, err
 				}
+				done := s.instrument(sim)
 				sim.Run(cfg.Warmup + 3000)
 				sim.Synthetic.Pause()
 				start := sim.Cycle()
@@ -57,6 +59,7 @@ func Table3(s Scale) *Table {
 					}
 					sim.Step()
 				}
+				done()
 				m := drainMeas{Drain: sim.Cycle() - start}
 				if sim.SEEC != nil {
 					m.AvgSeek = sim.SEEC.Stats.AvgSeek()

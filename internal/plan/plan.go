@@ -26,15 +26,18 @@
 //  3. Longest-first scheduling. Units dispatch in order of cost, the
 //     raw (cycles x mesh nodes) they simulate, largest first, to
 //     shorten the pool's idle tail; warmup units go before all others,
-//     so a fork never waits on a warmup no worker has taken. An EWMA
-//     of observed ns-per-(cycle*node), seeded from Options.Agg when
-//     set, only turns that cost into plan_compile's wall-time estimate.
+//     so a fork never waits on a warmup no worker has taken.
 //
 // Reuse layers 1 and 3 are byte-identity-preserving: results are
 // indexed by job, cached payloads are the canonical JSON encoding
 // (float64 fields round-trip exactly), and scheduling order never
 // leaks into results. A run with reuse renders the same bytes as one
 // with NoReuse, where every job simulates.
+//
+// The pool itself is Map: Run dispatches its units through it, and
+// internal/exp fans its generic cells out on it, so Options is the one
+// place a sweep's workers, job budget, breaker, events and progress
+// are configured.
 package plan
 
 import (
@@ -81,11 +84,11 @@ func (j Job) exec() seec.Config {
 	return c
 }
 
-// Outcome is one job's resolution. Done is false only when the batch
-// was cancelled (context or breaker) before the job executed — the
-// caller renders such cells as zero values. Elapsed is, for a failed
-// job, the wall time of the unit that ran it (for a fork, its own
-// unit's, not its warmup's); it is zero otherwise.
+// Outcome is one job's resolution, or one Map call's. Done is false
+// only when the batch was cancelled (context or breaker) before the
+// job executed — the caller renders such cells as zero values. Elapsed
+// is, for a failed job, the wall time of the unit that ran it (for a
+// fork, its own unit's, not its warmup's); it is zero otherwise.
 type Outcome struct {
 	Result  seec.Result
 	Err     error
@@ -102,12 +105,13 @@ type Options struct {
 	// Deprecated: runs are serial. Its only user is the perfbench
 	// module, which sets it to 1.
 	Shards int
-	// JobTimeout bounds each execution unit — an independent job, a
-	// family's warmup or one fork — from its dispatch (<= 0:
-	// unbounded). A fork's budget includes its wait for the warmup.
+	// JobTimeout bounds each call of a Map, so each of Run's execution
+	// units — an independent job, a family's warmup or one fork — from
+	// its dispatch (<= 0: unbounded). A fork's budget includes its
+	// wait for the warmup.
 	JobTimeout time.Duration
-	// MaxFailures trips the breaker after k failed units (<= 0: drain
-	// everything and report per job).
+	// MaxFailures trips a Map's breaker after k failed calls (<= 0:
+	// drain everything and report per call).
 	MaxFailures int
 	// WarmupShare turns on warmup-prefix family forking. Off by
 	// default: sharing changes the sampling plan, so results differ
@@ -120,18 +124,19 @@ type Options struct {
 	// CacheDir roots a persistent serve.Store ("" = LRU only). The
 	// layout is the gateway's, so a seecd result directory works.
 	CacheDir string
-	// MemEntries caps the in-process LRU (<= 0: 4096 entries).
-	MemEntries int
 	// Bus receives plan_compile/warmup_fork/warmup_fallback and
-	// cache_hit/miss/quarantine events, plus the runner's job events.
+	// cache_hit/miss/quarantine events, plus the pool's sweep and job
+	// events.
 	Bus *telemetry.Bus
-	// Agg, when set, seeds plan_compile's ns-per-(cycle*node) estimate
-	// from its completed-job latency average. It never affects dispatch.
-	Agg *telemetry.Aggregator
-	// Progress mirrors runner.WithProgress over execution units.
+	// Progress, when set, is called with monotonic (done, total) counts
+	// as a Map call's calls succeed, at most once per ProgressEvery (0:
+	// on every success) and always when done reaches total.
 	Progress      func(done, total int)
 	ProgressEvery time.Duration
 }
+
+// memEntries caps the in-process LRU.
+const memEntries = 4096
 
 // Stats counts what the planner did across its lifetime.
 type Stats struct {
@@ -150,11 +155,6 @@ type Stats struct {
 // Reused is the number of jobs resolved without simulating.
 func (s Stats) Reused() int64 { return s.Deduped + s.MemHits + s.StoreHits }
 
-// defaultNsPerCost is plan_compile's prior: BenchmarkStep runs at
-// ~40k ns per 8x8-mesh cycle, i.e. ~625 ns per cycle*node. Replaced by
-// the EWMA after the first observed execution.
-const defaultNsPerCost = 625.0
-
 // Planner is the reuse-aware scheduler. All methods are safe for
 // concurrent use.
 type Planner struct {
@@ -167,20 +167,16 @@ type Planner struct {
 	warmCheckpoint func(context.Context, seec.Config) ([]byte, error)
 	runFork        func(context.Context, seec.Config, []byte, seec.Fork) (seec.Result, error)
 
-	mu        sync.Mutex
-	mem       *lruCache
-	stats     Stats
-	nsPerCost float64 // EWMA ns per (cycle*node), 0 until observed
+	mu    sync.Mutex
+	mem   *lruCache
+	stats Stats
 }
 
 // New opens a planner, creating the persistent store when Options.
 // CacheDir is set.
 func New(o Options) (*Planner, error) {
-	if o.MemEntries <= 0 {
-		o.MemEntries = 4096
-	}
 	p := &Planner{
-		opts: o, mem: newLRU(o.MemEntries), started: time.Now(),
+		opts: o, mem: newLRU(memEntries), started: time.Now(),
 		warmCheckpoint: seec.WarmCheckpoint, runFork: seec.RunFork,
 	}
 	if o.CacheDir != "" {
@@ -193,11 +189,22 @@ func New(o Options) (*Planner, error) {
 	return p, nil
 }
 
-// Fresh reports whether every job p runs executes afresh: no cache
+// Fresh returns a planner on which every job executes afresh: no cache
 // read or write, no dedup (NoReuse) and no warmup fork (no
-// WarmupShare). Instrumented runs need such a planner, so that each
-// job's hooks fire once and observing cannot change a number.
-func (p *Planner) Fresh() bool { return p.opts.NoReuse && !p.opts.WarmupShare }
+// WarmupShare). Instrumented runs need one, so that each job's hooks
+// fire once and observing cannot change a number. That is p itself
+// when p already runs so; otherwise it is a new store-less NoReuse
+// planner on p's pool: p's workers, job budget, breaker, bus and
+// progress.
+func (p *Planner) Fresh() *Planner {
+	if p.opts.NoReuse && !p.opts.WarmupShare {
+		return p
+	}
+	o := p.opts
+	o.NoReuse, o.WarmupShare, o.CacheDir = true, false, ""
+	q, _ := New(o) // New fails only opening a store, and q has none
+	return q
+}
 
 // Stats returns a snapshot of the lifetime counters.
 func (p *Planner) Stats() Stats {
@@ -276,39 +283,8 @@ func cost(cfg seec.Config, cycles int64) float64 {
 	return float64(cycles * int64(cfg.Rows) * int64(cfg.Cols))
 }
 
-// noteSim records n executed simulations and, when cost and duration
-// are known, folds the observation into the EWMA cost rate.
-func (p *Planner) noteSim(n int64, c float64, dur time.Duration) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.stats.Simulated += n
-	if c > 0 && dur > 0 {
-		obs := float64(dur.Nanoseconds()) / c
-		if p.nsPerCost == 0 {
-			p.nsPerCost = obs
-		} else {
-			p.nsPerCost += 0.2 * (obs - p.nsPerCost)
-		}
-	}
-}
-
-// costRate returns the current ns-per-(cycle*node) estimate: the EWMA
-// when observations exist, else the telemetry aggregator's average job
-// latency spread over meanCost, else the static prior.
-func (p *Planner) costRate(meanCost float64) float64 {
-	p.mu.Lock()
-	r := p.nsPerCost
-	p.mu.Unlock()
-	if r > 0 {
-		return r
-	}
-	if p.opts.Agg != nil && meanCost > 0 {
-		if s := p.opts.Agg.Snapshot(); s.Sweep.AvgJobSec > 0 {
-			return s.Sweep.AvgJobSec * 1e9 / meanCost
-		}
-	}
-	return defaultNsPerCost
-}
+// noteSim counts one executed simulation.
+func (p *Planner) noteSim() { p.bump(func(s *Stats) { s.Simulated++ }) }
 
 // family is one warmup-prefix sharing group: jobs identical except
 // injection rate, executed as one warmup unit plus one fork unit per
@@ -345,12 +321,11 @@ func (p *Planner) RunOne(ctx context.Context, cfg seec.Config, run RunFunc) (see
 		}
 		// Undecodable payload (format drift): re-simulate.
 	}
-	start := time.Now()
 	res, err := run(ctx, cfg)
 	if err != nil {
 		return res, err
 	}
-	p.noteSim(1, cost(cfg, cfg.Warmup+cfg.SimCycles), time.Since(start))
+	p.noteSim()
 	p.put(key, res)
 	return res, nil
 }
@@ -373,7 +348,7 @@ func Memoize[T any](ctx context.Context, p *Planner, key string, compute func(ct
 	if err != nil {
 		return v, err
 	}
-	p.noteSim(1, 0, 0)
+	p.noteSim()
 	if b, mErr := json.Marshal(v); mErr == nil {
 		p.putPayload(key, b)
 	}
@@ -384,7 +359,7 @@ func Memoize[T any](ctx context.Context, p *Planner, key string, compute func(ct
 // it: dedup identical jobs, probe the cache, split the remainder into
 // independent units and, when WarmupShare is on, one warmup unit plus
 // one fork unit per missing family member, sort the units
-// longest-first with warmups ahead, and fan out on the runner pool.
+// longest-first with warmups ahead, and fan them out through Map.
 // The returned slice is indexed by job.
 func (p *Planner) Run(ctx context.Context, jobs []Job, run RunFunc) []Outcome {
 	n := len(jobs)
@@ -528,75 +503,37 @@ func (p *Planner) Run(ctx context.Context, jobs []Job, run RunFunc) []Outcome {
 		return ua.job < ub.job
 	})
 
-	var total float64
-	for _, u := range units {
-		total += u.cost
-	}
-	var meanCost float64
-	if len(units) > 0 {
-		meanCost = total / float64(len(units))
-	}
 	p.opts.Bus.Emit(telemetry.Event{
 		Kind: telemetry.EvPlanCompile, Job: -1,
 		Total: int64(n), Cycle: int64(reused), InFlight: int64(len(units)),
-		DurNs: int64(total * p.costRate(meanCost)),
 	})
-	if len(units) == 0 {
-		for l, fs := range followers {
-			for _, i := range fs {
-				outs[i] = outs[l]
-			}
-		}
-		return outs
-	}
 
-	mf := p.opts.MaxFailures
-	if mf <= 0 {
-		mf = len(units) + 1 // never trip: drain and report per job
-	}
-	ropts := []runner.Option{
-		runner.WithWorkers(p.opts.Workers),
-		runner.WithMaxFailures(mf),
-		runner.WithTelemetry(p.opts.Bus),
-	}
-	if p.opts.JobTimeout > 0 {
-		ropts = append(ropts, runner.WithJobTimeout(p.opts.JobTimeout))
-	}
-	if p.opts.Progress != nil {
-		ropts = append(ropts, runner.WithProgress(p.opts.Progress),
-			runner.WithProgressThrottle(p.opts.ProgressEvery))
-	}
 	// Outcomes carry the per-job errors, and cancelled (never-executed)
 	// jobs stay Done=false for the caller to render as zero cells.
-	_, err := runner.Map(ctx, len(units), func(ctx context.Context, ui int) (struct{}, error) {
+	unitOuts := p.Map(ctx, len(units), func(ctx context.Context, ui int) error {
 		u := units[ui]
 		switch {
 		case u.fam == nil:
-			return struct{}{}, p.simulate(ctx, exec[u.job], keys[u.job], &outs[u.job], run)
+			return p.simulate(ctx, exec[u.job], keys[u.job], &outs[u.job], run)
 		case u.job < 0:
-			return struct{}{}, p.warmup(ctx, u.fam)
+			return p.warmup(ctx, u.fam)
 		default:
-			return struct{}{}, p.fork(ctx, u.fam, exec[u.job], keys[u.job], &outs[u.job], run)
+			return p.fork(ctx, u.fam, exec[u.job], keys[u.job], &outs[u.job], run)
 		}
-	}, ropts...)
-	// A failed unit's job takes the wall time the runner measured for
-	// it. Only a unit that panicked wrote no outcome: its job records
-	// the recovered panic as its error. A warmup has no job of its
-	// own; its failure reaches its members through their forks.
-	var se *runner.SweepError
-	if errors.As(err, &se) {
-		for _, f := range se.Failures {
-			i := units[f.Index].job
-			if i < 0 {
-				continue
-			}
-			if !outs[i].Done {
-				outs[i] = Outcome{Err: f.Err, Done: true}
-			}
-			if outs[i].Err != nil {
-				outs[i].Elapsed = f.Elapsed
-			}
+	})
+	// A failed unit's job takes the wall time Map measured for it. Only
+	// a unit that panicked wrote no outcome: its job records the
+	// recovered panic as its error. A warmup has no job of its own; its
+	// failure reaches its members through their forks.
+	for ui, uo := range unitOuts {
+		i := units[ui].job
+		if uo.Err == nil || i < 0 {
+			continue
 		}
+		if !outs[i].Done {
+			outs[i] = Outcome{Err: uo.Err, Done: true}
+		}
+		outs[i].Elapsed = uo.Elapsed
 	}
 
 	for l, fs := range followers {
@@ -607,16 +544,48 @@ func (p *Planner) Run(ctx context.Context, jobs []Job, run RunFunc) []Outcome {
 	return outs
 }
 
+// Map runs fn(ctx, i) for every i in [0, n) on the planner's worker
+// pool, under its per-call JobTimeout, its MaxFailures breaker, job
+// events on its Bus and its Progress hook, and returns one Outcome per
+// call: Done once the call ran, Err its error (a panic is recovered
+// into one) and, for a failed call, Elapsed its wall time. Calls that
+// the breaker or ctx cancelled before they ran stay Done=false.
+// Result is unused.
+func (p *Planner) Map(ctx context.Context, n int, fn func(ctx context.Context, i int) error) []Outcome {
+	outs := make([]Outcome, n)
+	mf := p.opts.MaxFailures
+	if mf <= 0 {
+		mf = n + 1 // never trip: drain and report per call
+	}
+	_, err := runner.Map(ctx, n, func(ctx context.Context, i int) (struct{}, error) {
+		outs[i].Done = true
+		return struct{}{}, fn(ctx, i)
+	},
+		runner.WithWorkers(p.opts.Workers),
+		runner.WithJobTimeout(p.opts.JobTimeout),
+		runner.WithMaxFailures(mf),
+		runner.WithTelemetry(p.opts.Bus),
+		runner.WithProgress(p.opts.Progress),
+		runner.WithProgressThrottle(p.opts.ProgressEvery),
+	)
+	var se *runner.SweepError
+	if errors.As(err, &se) {
+		for _, f := range se.Failures {
+			outs[f.Index] = Outcome{Err: f.Err, Done: true, Elapsed: f.Elapsed}
+		}
+	}
+	return outs
+}
+
 // simulate runs one cache-missed job independently and writes it back
 // under key.
 func (p *Planner) simulate(ctx context.Context, cfg seec.Config, key string, out *Outcome, run RunFunc) error {
-	start := time.Now()
 	res, err := run(ctx, cfg)
 	*out = Outcome{Result: res, Err: err, Done: true}
 	if err != nil {
 		return err
 	}
-	p.noteSim(1, cost(cfg, cfg.Warmup+cfg.SimCycles), time.Since(start))
+	p.noteSim()
 	p.put(key, res)
 	return nil
 }
@@ -635,7 +604,6 @@ func (p *Planner) warmup(ctx context.Context, f *family) error {
 			panic(r) // the runner records it with its stack
 		}
 	}()
-	start := time.Now()
 	f.snap, f.err = p.warmCheckpoint(ctx, f.base)
 	n := int64(len(f.missing))
 	if errors.Is(f.err, checkpoint.ErrUnsupported) {
@@ -655,7 +623,6 @@ func (p *Planner) warmup(ctx context.Context, f *family) error {
 		s.WarmupForks += n
 		s.WarmupCyclesSaved += saved
 	})
-	p.noteSim(0, cost(f.base, f.base.Warmup), time.Since(start))
 	return nil
 }
 
@@ -684,13 +651,12 @@ func (p *Planner) fork(ctx context.Context, f *family, cfg seec.Config, key stri
 		*out = Outcome{Err: f.err, Done: true}
 		return f.err
 	}
-	start := time.Now()
 	res, err := p.runFork(ctx, f.base, snap, seec.Fork{Rate: cfg.InjectionRate})
 	*out = Outcome{Result: res, Err: err, Done: true}
 	if err != nil {
 		return err
 	}
-	p.noteSim(1, cost(cfg, cfg.SimCycles), time.Since(start))
+	p.noteSim()
 	p.put(key, res)
 	return nil
 }

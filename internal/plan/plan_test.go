@@ -510,3 +510,140 @@ func TestForkUnitFallback(t *testing.T) {
 			st.WarmupFallbacks, st.WarmupFamilies, st.Simulated)
 	}
 }
+
+// TestMapOutcomes: Map reports every call's outcome (Done, its error,
+// with a panic recovered into one, and a failed call's wall time) and
+// puts one job_start and one terminal job event per call on the bus.
+func TestMapOutcomes(t *testing.T) {
+	log := &eventLog{}
+	p, err := New(Options{Workers: 2, Bus: telemetry.NewBus(log)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n, broke, exploded = 6, 1, 4
+	outs := p.Map(context.Background(), n, func(ctx context.Context, i int) error {
+		switch i {
+		case broke:
+			time.Sleep(5 * time.Millisecond)
+			return errors.New("call broke")
+		case exploded:
+			panic("call exploded")
+		}
+		return nil
+	})
+	if len(outs) != n {
+		t.Fatalf("%d outcomes for %d calls", len(outs), n)
+	}
+	for i, o := range outs {
+		switch i {
+		case broke:
+			if !o.Done || o.Err == nil || o.Err.Error() != "call broke" || o.Elapsed < 5*time.Millisecond {
+				t.Errorf("failed call: done=%v err=%v elapsed=%v", o.Done, o.Err, o.Elapsed)
+			}
+		case exploded:
+			if !o.Done || o.Err == nil || !strings.Contains(o.Err.Error(), "call exploded") || o.Elapsed <= 0 {
+				t.Errorf("panicking call: done=%v err=%v elapsed=%v", o.Done, o.Err, o.Elapsed)
+			}
+		default:
+			if !o.Done || o.Err != nil || o.Elapsed != 0 {
+				t.Errorf("call %d: done=%v err=%v elapsed=%v, want done without error", i, o.Done, o.Err, o.Elapsed)
+			}
+		}
+	}
+	for _, c := range []struct {
+		kind telemetry.Kind
+		want int
+	}{
+		{telemetry.EvJobStart, n},
+		{telemetry.EvJobDone, n - 2},
+		{telemetry.EvJobFail, 1},
+		{telemetry.EvJobPanic, 1},
+	} {
+		if got := log.count(c.kind); got != c.want {
+			t.Errorf("%d %v events, want %d", got, c.kind, c.want)
+		}
+	}
+}
+
+// TestMapProgress: Map drives the planner's Progress hook to (n, n).
+func TestMapProgress(t *testing.T) {
+	var mu sync.Mutex
+	var done, total int
+	p, err := New(Options{Workers: 2, Progress: func(d, n int) {
+		mu.Lock()
+		done, total = d, n
+		mu.Unlock()
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 5
+	p.Map(context.Background(), n, func(context.Context, int) error { return nil })
+	if done != n || total != n {
+		t.Fatalf("last progress report %d/%d, want %d/%d", done, total, n, n)
+	}
+}
+
+// TestMapBreaker: the MaxFailures-th failed call trips the breaker, and
+// the calls it cancelled stay Done=false.
+func TestMapBreaker(t *testing.T) {
+	p, err := New(Options{Workers: 1, MaxFailures: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ran := 0
+	outs := p.Map(context.Background(), 10, func(context.Context, int) error {
+		ran++
+		return errors.New("always fails")
+	})
+	if ran != 2 {
+		t.Fatalf("%d calls ran, want the breaker to stop at 2", ran)
+	}
+	for i, o := range outs {
+		if ran := i < 2; o.Done != ran || (o.Err != nil) != ran {
+			t.Errorf("call %d: done=%v err=%v, want done=%v", i, o.Done, o.Err, ran)
+		}
+	}
+}
+
+// TestFresh: a planner that reuses or forks hands instrumented runs a
+// store-less NoReuse planner on its own pool; a planner that does
+// neither is its own Fresh planner.
+func TestFresh(t *testing.T) {
+	bus := telemetry.NewBus()
+	o := Options{
+		Workers: 3, JobTimeout: time.Second, MaxFailures: 2, WarmupShare: true,
+		CacheDir: t.TempDir(), Bus: bus, Progress: func(int, int) {}, ProgressEvery: time.Minute,
+	}
+	p, err := New(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := p.Fresh()
+	if q == p || q.store != nil || !q.opts.NoReuse || q.opts.WarmupShare || q.opts.CacheDir != "" {
+		t.Fatalf("Fresh of a sharing planner still reuses, forks or stores: %+v", q.opts)
+	}
+	if q.opts.Workers != o.Workers || q.opts.JobTimeout != o.JobTimeout || q.opts.MaxFailures != o.MaxFailures ||
+		q.opts.Bus != bus || q.opts.Progress == nil || q.opts.ProgressEvery != o.ProgressEvery {
+		t.Errorf("Fresh dropped a pool setting: %+v", q.opts)
+	}
+	if q.Fresh() != q {
+		t.Error("a fresh planner's Fresh is not itself")
+	}
+	for _, o := range []Options{{NoReuse: true}, {NoReuse: true, Workers: 2, JobTimeout: time.Second}} {
+		r, err := New(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Fresh() != r {
+			t.Errorf("Fresh of %+v is a new planner, want itself", o)
+		}
+	}
+	r, err := New(Options{NoReuse: true, WarmupShare: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Fresh() == r {
+		t.Error("a forking planner is its own Fresh planner")
+	}
+}

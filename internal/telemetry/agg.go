@@ -72,7 +72,6 @@ type Aggregator struct {
 	planJobs      int64
 	planReused    int64
 	planScheduled int64
-	planEstNs     int64
 	wfFamilies    int64
 	wfForks       int64
 	wfSaved       int64
@@ -170,7 +169,6 @@ func (a *Aggregator) Emit(e Event) {
 		a.planJobs += e.Total
 		a.planReused += e.Cycle
 		a.planScheduled += e.InFlight
-		a.planEstNs += e.DurNs
 	case EvWarmupFork:
 		a.planSeen = true
 		a.wfFamilies++
@@ -276,15 +274,14 @@ type ServiceStatus struct {
 // warmup-prefix sharing saved. Present only when an internal/plan
 // planner feeds the bus.
 type PlanStatus struct {
-	Compiles          int64   `json:"compiles"`
-	Jobs              int64   `json:"jobs"`
-	Reused            int64   `json:"reused"`
-	Scheduled         int64   `json:"scheduled"`
-	EstimatedSec      float64 `json:"estimated_sec"`
-	WarmupFamilies    int64   `json:"warmup_families"`
-	WarmupForks       int64   `json:"warmup_forks"`
-	WarmupCyclesSaved int64   `json:"warmup_cycles_saved"`
-	WarmupFallbacks   int64   `json:"warmup_fallbacks"`
+	Compiles          int64 `json:"compiles"`
+	Jobs              int64 `json:"jobs"`
+	Reused            int64 `json:"reused"`
+	Scheduled         int64 `json:"scheduled"`
+	WarmupFamilies    int64 `json:"warmup_families"`
+	WarmupForks       int64 `json:"warmup_forks"`
+	WarmupCyclesSaved int64 `json:"warmup_cycles_saved"`
+	WarmupFallbacks   int64 `json:"warmup_fallbacks"`
 }
 
 // Snapshot is the /status document.
@@ -346,7 +343,6 @@ func (a *Aggregator) Snapshot() Snapshot {
 			Jobs:              a.planJobs,
 			Reused:            a.planReused,
 			Scheduled:         a.planScheduled,
-			EstimatedSec:      float64(a.planEstNs) / 1e9,
 			WarmupFamilies:    a.wfFamilies,
 			WarmupForks:       a.wfForks,
 			WarmupCyclesSaved: a.wfSaved,
@@ -435,7 +431,7 @@ func (a *Aggregator) WritePrometheus(w io.Writer) error {
 			_, err = fmt.Fprintf(w, format, args...)
 		}
 	}
-	p("# HELP seec_sweeps_total Sweeps started (one per runner Map/Sweep call).\n")
+	p("# HELP seec_sweeps_total Sweeps started (one per worker-pool fan-out).\n")
 	p("# TYPE seec_sweeps_total counter\nseec_sweeps_total %d\n", s.Sweep.Sweeps)
 	p("# HELP seec_jobs_planned_total Jobs planned across all sweeps.\n")
 	p("# TYPE seec_jobs_planned_total counter\nseec_jobs_planned_total %d\n", s.Sweep.Jobs)

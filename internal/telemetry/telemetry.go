@@ -18,16 +18,16 @@ package telemetry
 import "fmt"
 
 // Kind identifies one event type in the taxonomy. Sweep events come
-// from the runner (one sweep = one Map/Sweep call), job events from
-// individual worker slots, run events from inside a single simulation's
-// run loop.
+// from the worker pool (one sweep = one runner.Map call, which every
+// planner Map and Run makes), job events from individual worker slots,
+// run events from inside a single simulation's run loop.
 type Kind uint8
 
 const (
-	// EvSweepStart: a Map/Sweep call began (Total = planned jobs,
+	// EvSweepStart: a pool fan-out began (Total = planned jobs,
 	// InFlight = worker-pool size).
 	EvSweepStart Kind = iota
-	// EvSweepDone: the Map/Sweep call returned (Total = planned jobs).
+	// EvSweepDone: the pool fan-out returned (Total = planned jobs).
 	EvSweepDone
 	// EvJobStart: a worker picked up job Job (first attempt).
 	EvJobStart
@@ -96,8 +96,7 @@ const (
 	// EvPlanCompile: a job batch was compiled into a reuse-aware
 	// schedule (Total = jobs submitted, Cycle = jobs resolved without
 	// simulating — cache hits plus in-batch duplicates, InFlight =
-	// execution units scheduled, DurNs = cost-model estimate of the
-	// scheduled work in wall nanoseconds).
+	// execution units scheduled).
 	EvPlanCompile
 	// EvWarmupFork: a warmup family executed — the family's warmup
 	// prefix was paid once and the members forked from the checkpoint

@@ -115,12 +115,7 @@ func RunSyntheticCtx(ctx context.Context, cfg Config) (Result, error) {
 		if resumed {
 			hb(RunEvent{Kind: RunCheckpointRestore, Cycle: s.Cycle(), Total: cfg.Warmup + cfg.SimCycles})
 		}
-		if s.Net != nil && s.Net.Watchdog != nil {
-			hb := hb
-			s.Net.Watchdog.OnFire = func(cycle, sinceEject int64) {
-				hb(RunEvent{Kind: RunWatchdogStall, Cycle: cycle, Arg: sinceEject})
-			}
-		}
+		reportStalls(s, hb)
 	}
 	res, err := runSyntheticLoop(ctx, s, cfg, hb)
 	if err != nil {
@@ -130,6 +125,18 @@ func RunSyntheticCtx(ctx context.Context, cfg Config) (Result, error) {
 		done()
 	}
 	return res, nil
+}
+
+// reportStalls routes the verdicts of s's stall watchdog, when the
+// instrument layer installed one, to the run-event callback hb.
+func reportStalls(s *Sim, hb func(RunEvent)) {
+	if s.Net == nil || s.Net.Watchdog == nil {
+		return
+	}
+	s.Net.Watchdog.OnFire = func(cycle, sinceEject int64) {
+		hb(RunEvent{Kind: RunWatchdogStall, Cycle: cycle,
+			Err: fmt.Sprintf("no ejection for %d cycles", sinceEject)})
+	}
 }
 
 // runSyntheticLoop steps s to Warmup+SimCycles in cancellation-checked
@@ -190,7 +197,7 @@ func runSyntheticLoop(ctx context.Context, s *Sim, cfg Config, hb func(RunEvent)
 			if est, ok := bm.Estimate(); ok && est.Rel() <= cfg.StopCI {
 				if hb != nil {
 					hb(RunEvent{Kind: RunCIStop, Cycle: s.Cycle(), Total: total,
-						Arg: int64(est.Batches)})
+						Attempt: int32(est.Batches)})
 				}
 				break
 			}
@@ -526,12 +533,7 @@ func RunApplicationCtx(ctx context.Context, cfg Config, app string, txns, maxCyc
 	nextBeat := int64(math.MaxInt64)
 	if hb != nil {
 		nextBeat = hbEvery
-		if s.Net != nil && s.Net.Watchdog != nil {
-			hb := hb
-			s.Net.Watchdog.OnFire = func(cycle, sinceEject int64) {
-				hb(RunEvent{Kind: RunWatchdogStall, Cycle: cycle, Arg: sinceEject})
-			}
-		}
+		reportStalls(s, hb)
 	}
 	for !s.App.Done() && s.Cycle() < maxCycles {
 		if s.Cycle()&1023 == 0 {

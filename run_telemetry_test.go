@@ -150,8 +150,8 @@ func TestRunTelemetryCIStop(t *testing.T) {
 	if stop == nil {
 		t.Fatalf("no RunCIStop in %+v", evs)
 	}
-	if stop.Arg <= 0 {
-		t.Errorf("RunCIStop batches = %d, want > 0", stop.Arg)
+	if stop.Attempt <= 0 {
+		t.Errorf("RunCIStop batches = %d, want > 0", stop.Attempt)
 	}
 	if res.StopCycle == 0 || stop.Cycle != res.StopCycle {
 		t.Errorf("RunCIStop cycle %d != StopCycle %d", stop.Cycle, res.StopCycle)

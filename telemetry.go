@@ -1,7 +1,6 @@
 package seec
 
 import (
-	"fmt"
 	"os"
 	"sync/atomic"
 
@@ -14,41 +13,37 @@ import (
 // 1024-cycle chunk size; the hot per-cycle Step path is untouched.
 const DefaultHeartbeatEvery = 2048
 
-// RunEventKind identifies one run-level lifecycle event emitted by the
-// run loops (RunSyntheticCtx, RunApplicationCtx) to the callback
-// installed via Config.Telemetry.
-type RunEventKind uint8
+// RunEvent is one run-level lifecycle event, emitted by the run loops
+// (RunSyntheticCtx, RunApplicationCtx) to the callback installed via
+// Config.Telemetry. It is the sweep telemetry's own event type, so a
+// run event is already in wire form: the run loops fill Kind, Cycle
+// and Total, plus InFlight on a heartbeat, the CI batches observed in
+// Attempt on a CI stop and the verdict in Err on a watchdog stall, and
+// Telemetry.Hook only stamps the run id into Job. Passed by value and
+// allocation-free apart from the rare stall verdict: with
+// Config.Telemetry nil the run loop pays one nil check per chunk and
+// nothing else.
+type RunEvent = telemetry.Event
 
+// The run-event kinds are the telemetry kinds of the same names.
 const (
 	// RunHeartbeat: periodic progress (Cycle, Total = planned end
 	// cycle, InFlight = packets in flight).
-	RunHeartbeat RunEventKind = iota
+	RunHeartbeat = telemetry.EvHeartbeat
 	// RunDone: the run loop finished (Cycle = final cycle).
-	RunDone
+	RunDone = telemetry.EvRunDone
 	// RunCheckpointSave: a periodic or final checkpoint was written.
-	RunCheckpointSave
+	RunCheckpointSave = telemetry.EvCheckpointSave
 	// RunCheckpointRestore: the run restored from a checkpoint instead
 	// of starting fresh (Cycle = the restored cycle).
-	RunCheckpointRestore
+	RunCheckpointRestore = telemetry.EvCheckpointRestore
 	// RunCIStop: CI early stopping ended the run before its cycle
-	// budget (Cycle = stop cycle, Arg = CI batches observed).
-	RunCIStop
+	// budget (Cycle = stop cycle, Attempt = CI batches observed).
+	RunCIStop = telemetry.EvCIStop
 	// RunWatchdogStall: the stall watchdog issued a no-ejection-progress
-	// verdict (Arg = cycles since the last ejection).
-	RunWatchdogStall
+	// verdict (Cycle = current cycle, Err = the verdict).
+	RunWatchdogStall = telemetry.EvWatchdogStall
 )
-
-// RunEvent is one run-level lifecycle occurrence. Passed by value and
-// allocation-free, matching the observability layer's zero-overhead
-// discipline: with Config.Telemetry nil the run loop pays one nil check
-// per chunk and nothing else.
-type RunEvent struct {
-	Kind     RunEventKind
-	Cycle    int64 // current simulation cycle
-	Total    int64 // planned end cycle
-	InFlight int64 // heartbeat: packets in flight
-	Arg      int64 // kind-specific (CI batches, stall cycles)
-}
 
 // TelemetryOptions configures live sweep telemetry for a CLI run: an
 // HTTP status server, a JSONL event log, or both. The zero value is
@@ -85,8 +80,7 @@ type Telemetry struct {
 
 // Start opens the requested sinks and returns the live session, or nil
 // if o is disabled (callers nil-check; every method on a nil *Telemetry
-// is a safe no-op where it matters: Hook and RunnerOptions return
-// nothing to install).
+// is a safe no-op where it matters: Hook returns nothing to install).
 func (o TelemetryOptions) Start() (*Telemetry, error) {
 	if !o.Enabled() {
 		return nil, nil
@@ -130,9 +124,10 @@ func (t *Telemetry) Attach(cfg *Config) {
 }
 
 // Hook returns the Config.Telemetry factory: each simulation it is
-// invoked on gets a fresh run id, so concurrent runs (saturation-search
-// probes, forked measurement runs) produce distinguishable heartbeat
-// streams. Returns nil on a nil receiver, which disables run events.
+// invoked on gets a fresh run id, stamped into its events' Job field,
+// so concurrent runs (saturation-search probes, forked measurement
+// runs) produce distinguishable heartbeat streams. Returns nil on a
+// nil receiver, which disables run events.
 func (t *Telemetry) Hook() func(*Sim) func(RunEvent) {
 	if t == nil {
 		return nil
@@ -140,32 +135,10 @@ func (t *Telemetry) Hook() func(*Sim) func(RunEvent) {
 	return func(_ *Sim) func(RunEvent) {
 		id := t.runSeq.Add(1) - 1
 		return func(e RunEvent) {
-			t.Bus.Emit(runToEvent(id, e))
+			e.Job = id
+			t.Bus.Emit(e)
 		}
 	}
-}
-
-// runToEvent maps a run-loop RunEvent onto the wire Event taxonomy,
-// stamping the run id into the Job field.
-func runToEvent(id int32, e RunEvent) telemetry.Event {
-	out := telemetry.Event{Job: id, Cycle: e.Cycle, Total: e.Total, InFlight: e.InFlight}
-	switch e.Kind {
-	case RunHeartbeat:
-		out.Kind = telemetry.EvHeartbeat
-	case RunDone:
-		out.Kind = telemetry.EvRunDone
-	case RunCheckpointSave:
-		out.Kind = telemetry.EvCheckpointSave
-	case RunCheckpointRestore:
-		out.Kind = telemetry.EvCheckpointRestore
-	case RunCIStop:
-		out.Kind = telemetry.EvCIStop
-		out.Attempt = int32(e.Arg)
-	case RunWatchdogStall:
-		out.Kind = telemetry.EvWatchdogStall
-		out.Err = fmt.Sprintf("no ejection for %d cycles", e.Arg)
-	}
-	return out
 }
 
 // ProgressLine returns a one-line human progress summary with ETA ("" on
