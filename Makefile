@@ -22,7 +22,7 @@ check:
 # Step-benchmark record: machine-readable ns/op + allocs/op for the
 # simulator hot path, for diffing across commits. Five samples per
 # benchmark: the record keeps the median, min and max ns/op.
-BENCH = $(GO) test -bench 'Step|Table3Drain|LatencyCurve|RunIdle|WarmupFork|Checkpoint|FigAllPlanned|MapSerial|DecodeResult|StoreOpen' -benchmem -count 5 -run '^$$' ./...
+BENCH = $(GO) test -bench 'Step|Table3Drain|LatencyCurve|RunIdle|WarmupFork|Checkpoint|FigAllPlanned|MapSerial|DecodeResult|StoreOpen|WALReplay|CacheKey' -benchmem -count 5 -run '^$$' ./...
 
 bench:
 	$(BENCH) | $(GO) run ./cmd/benchjson > BENCH_step.json

@@ -1,7 +1,6 @@
 package seec
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -9,6 +8,7 @@ import (
 	"path/filepath"
 	"syscall"
 
+	"seec/internal/canon"
 	"seec/internal/checkpoint"
 	"seec/internal/rng"
 )
@@ -17,18 +17,26 @@ import (
 // Config.CheckpointPath is set but Config.CheckpointEvery is not.
 const DefaultCheckpointEvery int64 = 5000
 
+// Canonical returns the canonical JSON of the Config's semantic fields:
+// the bytes json.Marshal writes, which leave the operational fields
+// (checkpoint paths, instrumentation, telemetry, heartbeats) out by the
+// Config's own JSON contract. CheckpointHash, the result cache key and
+// the planner's key spaces all hash these bytes. Canonical panics on a
+// NaN or infinite float field, which JSON cannot represent.
+func (c Config) Canonical() []byte {
+	b, err := canon.Encode(c)
+	if err != nil {
+		panic("seec: canonical config: " + err.Error())
+	}
+	return b
+}
+
 // CheckpointHash identifies the configuration a Sim-level checkpoint
-// binds to: the canonical JSON encoding of the Config. Every semantic
-// field participates in the hash, and restoring under a different
+// binds to: the hash of its Canonical encoding. Every semantic field
+// participates in the hash, and restoring under a different
 // configuration fails with checkpoint.ErrConfigMismatch.
 func (c Config) CheckpointHash() uint64 {
-	c.Instrument = nil
-	b, err := json.Marshal(c)
-	if err != nil {
-		// Config is a flat struct of basic types; Marshal cannot fail.
-		panic("seec: config hash: " + err.Error())
-	}
-	return rng.NewSeedHash(0x5EECC4EC).String(string(b)).Seed()
+	return rng.NewSeedHash(0x5EECC4EC).String(string(c.Canonical())).Seed()
 }
 
 // SaveCheckpoint writes the complete simulation state to w: network,

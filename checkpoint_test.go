@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -127,6 +128,48 @@ func TestResumeIdentity(t *testing.T) {
 					requireResumeIdentity(t, cfg)
 				})
 			}
+		}
+	}
+}
+
+// TestCheckpointHashGolden pins Config.CheckpointHash over a corpus
+// that covers every encoding case of the canonical Config JSON: every
+// basic kind set, floats on both sides of the exponent-format cutoffs,
+// negative zero, a subnormal, extreme integers, and strings that
+// json.Marshal escapes or that are not ASCII. Every checkpoint file
+// carries this hash, so a drift makes each one fail to restore.
+func TestCheckpointHashGolden(t *testing.T) {
+	def := seec.DefaultConfig()
+	knobs := def
+	knobs.Scheme, knobs.Routing, knobs.Pattern, knobs.Faults = seec.SchemeNone, seec.RoutingAdaptive, "transpose", "link:0.001"
+	knobs.VCsPerVNet, knobs.VCDepth, knobs.Classes, knobs.VNets = 2, 8, 3, 3
+	knobs.Wormhole, knobs.OldestFirst, knobs.NICSearchPeriod, knobs.StopCI = true, true, 64, 0.05
+	exp := def
+	exp.InjectionRate, exp.StopCI = 1e-7, 1e21
+	exp.Seed, exp.Warmup, exp.SimCycles = math.MaxUint64, -1, math.MaxInt64
+	bounds := def
+	bounds.InjectionRate, bounds.StopCI = 1e-6, 9.999999999999999e20
+	tiny := def
+	tiny.InjectionRate, tiny.StopCI = math.Copysign(0, -1), math.SmallestNonzeroFloat64
+	escaped := def
+	escaped.Pattern, escaped.Faults = "a\"b\\c<d>&e\tf", "é \x7f"
+	operational := def
+	operational.CheckpointPath, operational.CheckpointEvery, operational.HeartbeatEvery = "x.ckpt", 100, 7
+	operational.Instrument = func(*seec.Sim) func() { return func() {} }
+	for i, tc := range []struct {
+		cfg  seec.Config
+		want uint64
+	}{
+		{def, 0x3594065725911db4},
+		{knobs, 0x15f32c5e6c50ad03},
+		{exp, 0x05552154c411e586},
+		{bounds, 0xaf04e1f74586fb4d},
+		{tiny, 0xb8ac919a906e2269},
+		{escaped, 0xacb8af5dc32a47e3},
+		{operational, 0x3594065725911db4},
+	} {
+		if got := tc.cfg.CheckpointHash(); got != tc.want {
+			t.Errorf("config %d: CheckpointHash %#016x, want %#016x", i, got, tc.want)
 		}
 	}
 }

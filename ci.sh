@@ -76,13 +76,16 @@ cmp "$PLANCACHE/run1.out" "$PLANCACHE/run2.out" || {
 }
 rm -rf "$PLANCACHE"
 # Fuzz smoke: a few seconds per fuzzer over the parsers and invariants
-# that take arbitrary input (fault specs, job specs, cached result
-# payloads, histograms, traffic destinations) and over checkpoint round
+# that take arbitrary input (fault specs, job specs, the canonical-JSON
+# codec's decoding of cached results and journal records and its
+# encoding, histograms, traffic destinations) and over checkpoint round
 # trips. Regressions found here land in testdata/ corpora.
 go test -fuzz FuzzCheckpointRoundTrip -fuzztime 10s -run XXX .
 go test -fuzz FuzzFaultSpec -fuzztime 10s -run XXX ./internal/fault
 go test -fuzz FuzzJobSpec -fuzztime 10s -run XXX ./internal/serve
 go test -fuzz FuzzDecodeResult -fuzztime 10s -run XXX ./internal/serve
+go test -fuzz FuzzDecodeRecord -fuzztime 10s -run XXX ./internal/canon
+go test -fuzz FuzzEncode -fuzztime 10s -run XXX ./internal/canon
 go test -fuzz FuzzHistogram -fuzztime 10s -run XXX ./internal/stats
 go test -fuzz FuzzDestInRange -fuzztime 10s -run XXX ./internal/traffic
 echo "ci: all checks passed"

@@ -3,7 +3,6 @@ package plan
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"math"
 
@@ -34,18 +33,9 @@ import (
 //	                 studies) that are functions of a run but not
 //	                 seec.Result payloads; the measurement name keys
 //	                 the derivation.
-func canonicalConfig(cfg seec.Config) []byte {
-	// Mirror serve.CacheKey's canonicalization: the operational fields
-	// are excluded by Config's own JSON contract.
-	cfg.Instrument = nil
-	cfg.Telemetry = nil
-	b, err := json.Marshal(cfg)
-	if err != nil {
-		// Config is a flat struct of basic types; Marshal cannot fail.
-		panic("plan: canonical config: " + err.Error())
-	}
-	return b
-}
+//
+// Every space hashes the config's Config.Canonical bytes, the encoding
+// CheckpointHash hashes too.
 
 // Key returns the content address of a job's result: serve.CacheKey of
 // the configuration the job will actually execute (seed derived first
@@ -63,7 +53,7 @@ func Key(j Job) string {
 func forkKey(base seec.Config, rate float64) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "seec-forked/v%d\n", serve.ResultFormatVersion)
-	h.Write(canonicalConfig(base))
+	h.Write(base.Canonical())
 	fmt.Fprintf(h, "\nrate=%016x\n", math.Float64bits(rate))
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -73,7 +63,7 @@ func forkKey(base seec.Config, rate float64) string {
 func AppKey(cfg seec.Config, app string, txns, maxCycles int64) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "seec-app/v%d\n%s\n%d %d\n", serve.ResultFormatVersion, app, txns, maxCycles)
-	h.Write(canonicalConfig(cfg))
+	h.Write(cfg.Canonical())
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -84,7 +74,7 @@ func AppKey(cfg seec.Config, app string, txns, maxCycles int64) string {
 func MeasKey(name string, cfg seec.Config) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "seec-meas/v%d\n%s\n", serve.ResultFormatVersion, name)
-	h.Write(canonicalConfig(cfg))
+	h.Write(cfg.Canonical())
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -94,5 +84,5 @@ func MeasKey(name string, cfg seec.Config) string {
 // two sweeps with different base seeds never share a family.
 func familyKey(cfg seec.Config) string {
 	cfg.InjectionRate = 0
-	return string(canonicalConfig(cfg))
+	return string(cfg.Canonical())
 }

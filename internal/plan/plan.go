@@ -52,6 +52,7 @@ import (
 	"time"
 
 	"seec"
+	"seec/internal/canon"
 	"seec/internal/checkpoint"
 	"seec/internal/runner"
 	"seec/internal/serve"
@@ -316,7 +317,7 @@ func (p *Planner) RunOne(ctx context.Context, cfg seec.Config, run RunFunc) (see
 	p.bump(func(s *Stats) { s.Jobs++ })
 	key := serve.CacheKey(cfg)
 	if b, ok := p.lookup(key); ok {
-		if res, err := serve.DecodeResult(b); err == nil {
+		if res, err := canon.Decode[seec.Result](b); err == nil {
 			return res, nil
 		}
 		// Undecodable payload (format drift): re-simulate.
@@ -339,8 +340,7 @@ func (p *Planner) RunOne(ctx context.Context, cfg seec.Config, run RunFunc) (see
 func Memoize[T any](ctx context.Context, p *Planner, key string, compute func(ctx context.Context) (T, error)) (T, error) {
 	p.bump(func(s *Stats) { s.Jobs++ })
 	if b, ok := p.lookup(key); ok {
-		var v T
-		if err := json.Unmarshal(b, &v); err == nil {
+		if v, err := canon.Decode[T](b); err == nil {
 			return v, nil
 		}
 	}
@@ -454,7 +454,7 @@ func (p *Planner) Run(ctx context.Context, jobs []Job, run RunFunc) []Outcome {
 	var pending []int
 	for _, i := range order {
 		if b, ok := p.lookup(keys[i]); ok {
-			if res, err := serve.DecodeResult(b); err == nil {
+			if res, err := canon.Decode[seec.Result](b); err == nil {
 				outs[i] = Outcome{Result: res, Done: true}
 				reused++
 				continue

@@ -565,22 +565,30 @@ func TestMapOutcomes(t *testing.T) {
 	}
 }
 
-// TestMapProgress: Map drives the planner's Progress hook to (n, n).
+// TestMapProgress: Map drives the planner's Progress hook to (n, n),
+// also when every call fails (the default drain mode).
 func TestMapProgress(t *testing.T) {
-	var mu sync.Mutex
-	var done, total int
-	p, err := New(Options{Workers: 2, Progress: func(d, n int) {
-		mu.Lock()
-		done, total = d, n
-		mu.Unlock()
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 5
-	p.Map(context.Background(), n, func(context.Context, int) error { return nil })
-	if done != n || total != n {
-		t.Fatalf("last progress report %d/%d, want %d/%d", done, total, n, n)
+	for _, fail := range []bool{false, true} {
+		var mu sync.Mutex
+		var done, total int
+		p, err := New(Options{Workers: 2, Progress: func(d, n int) {
+			mu.Lock()
+			done, total = d, n
+			mu.Unlock()
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const n = 5
+		p.Map(context.Background(), n, func(context.Context, int) error {
+			if fail {
+				return errors.New("fails")
+			}
+			return nil
+		})
+		if done != n || total != n {
+			t.Fatalf("fail=%v: last progress report %d/%d, want %d/%d", fail, done, total, n, n)
+		}
 	}
 }
 

@@ -114,13 +114,13 @@ func WithWorkers(n int) Option {
 	return func(o *options) { o.workers = n }
 }
 
-// WithProgress registers a callback invoked after each job completes,
-// with the number of finished jobs and the total. Calls are serialized
-// (never concurrent with each other) and the done count is strictly
-// monotonic across calls — the counter increment and the callback
-// happen under one lock, so a later call always reports a larger done
-// value. Calls arrive from worker goroutines in completion order, not
-// job order.
+// WithProgress registers a callback invoked after each job finishes,
+// done or failed, with the number of finished jobs and the total.
+// Calls are serialized (never concurrent with each other) and the done
+// count is strictly monotonic across calls — the counter increment and
+// the callback happen under one lock, so a later call always reports a
+// larger done value. Calls arrive from worker goroutines in completion
+// order, not job order.
 func WithProgress(fn func(done, total int)) Option {
 	return func(o *options) { o.progress = fn }
 }
@@ -196,7 +196,7 @@ func Map[T any](ctx context.Context, n int, fn func(ctx context.Context, i int) 
 	out := make([]T, n)
 	var (
 		mu       sync.Mutex // guards failures, doneJobs and progress calls
-		doneJobs int        // completed jobs, for progress
+		doneJobs int        // finished jobs, done or failed, for progress
 		lastProg time.Time  // last progress callback, for throttling
 		failures []*JobError
 	)
@@ -237,13 +237,13 @@ func Map[T any](ctx context.Context, n int, fn func(ctx context.Context, i int) 
 			if tripped || (o.maxFailures <= 0 && !je.Panicked) {
 				cancel() // stop dispatching new jobs
 			}
-			return
+		} else {
+			o.bus.Emit(telemetry.Event{
+				Kind: telemetry.EvJobDone, Job: int32(i), Attempt: 1,
+				DurNs: elapsed.Nanoseconds(),
+			})
+			out[i] = v
 		}
-		o.bus.Emit(telemetry.Event{
-			Kind: telemetry.EvJobDone, Job: int32(i), Attempt: 1,
-			DurNs: elapsed.Nanoseconds(),
-		})
-		out[i] = v
 		if o.progress != nil {
 			mu.Lock()
 			doneJobs++

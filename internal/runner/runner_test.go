@@ -103,31 +103,42 @@ func TestMapWorkerBound(t *testing.T) {
 	}
 }
 
-// TestMapProgress: the callback fires once per job, monotonically,
-// ending at (n, n), and its calls are serialized.
+// TestMapProgress: the callback fires once per finished job, done or
+// failed, monotonically, ending at (n, n), and its calls are
+// serialized. A drain-mode sweep whose every job fails reports too.
 func TestMapProgress(t *testing.T) {
 	const n = 40
-	var calls []int
-	out, err := Map(context.Background(), n, func(_ context.Context, i int) (int, error) {
-		return i, nil
-	}, WithWorkers(4), WithProgress(func(done, total int) {
-		if total != n {
-			t.Errorf("total=%d", total)
-		}
-		calls = append(calls, done) // serialized by the runner's mutex
-	}))
-	if err != nil || len(out) != n {
-		t.Fatalf("err=%v len=%d", err, len(out))
-	}
-	if len(calls) != n {
-		t.Fatalf("progress called %d times, want %d", len(calls), n)
-	}
-	seen := map[int]bool{}
-	for _, d := range calls {
-		if d < 1 || d > n || seen[d] {
-			t.Fatalf("bad progress sequence %v", calls)
-		}
-		seen[d] = true
+	for _, tc := range []struct {
+		name string
+		fail bool
+		opts []Option
+	}{{"ok", false, nil}, {"all-fail-drain", true, []Option{WithMaxFailures(n + 1)}}} {
+		t.Run(tc.name, func(t *testing.T) {
+			var calls []int
+			out, err := Map(context.Background(), n, func(_ context.Context, i int) (int, error) {
+				if tc.fail {
+					return 0, errors.New("fails")
+				}
+				return i, nil
+			}, append(tc.opts, WithWorkers(4), WithProgress(func(done, total int) {
+				if total != n {
+					t.Errorf("total=%d", total)
+				}
+				calls = append(calls, done) // serialized by the runner's mutex
+			}))...)
+			var se *SweepError
+			if len(out) != n || (err != nil) != tc.fail || (tc.fail && (!errors.As(err, &se) || len(se.Failures) != n)) {
+				t.Fatalf("err=%v len=%d", err, len(out))
+			}
+			if len(calls) != n {
+				t.Fatalf("progress called %d times, want %d", len(calls), n)
+			}
+			for k, d := range calls {
+				if d != k+1 {
+					t.Fatalf("bad progress sequence %v", calls)
+				}
+			}
+		})
 	}
 }
 

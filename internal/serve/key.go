@@ -18,28 +18,24 @@ import (
 // the cache splits rather than aliasing two different experiments.
 const ResultFormatVersion = 1
 
+// resultKeyPrefix opens every hashed result key.
+var resultKeyPrefix = fmt.Sprintf("seec-result/v%d\n", ResultFormatVersion)
+
 // CacheKey is the canonical content address of one run's result: the
-// SHA-256 of the result format version and the canonical JSON of the
-// run's semantic configuration. The canonicalization is the
-// CheckpointHash one — operational fields (checkpoint paths,
-// instrumentation, telemetry) excluded by the Config's own JSON
-// contract — so everything that can change result bytes participates:
-// scheme, routing, topology shape, VC shape, seed, traffic pattern and
-// rate, cycle counts, the fault spec, StopCI. Two configs with equal
-// keys produce byte-identical result payloads; two with different
-// semantics get different keys.
+// SHA-256 of the result format version and the run's Config.Canonical
+// bytes, the encoding CheckpointHash hashes too. Operational fields
+// (checkpoint paths, instrumentation, telemetry) are excluded by the
+// Config's own JSON contract, so everything that can change result
+// bytes participates: scheme, routing, topology shape, VC shape, seed,
+// traffic pattern and rate, cycle counts, the fault spec, StopCI. Two
+// configs with equal keys produce byte-identical result payloads; two
+// with different semantics get different keys.
 func CacheKey(cfg seec.Config) string {
-	cfg.Instrument = nil // json:"-", but zeroed for clarity
-	cfg.Telemetry = nil
-	b, err := json.Marshal(cfg)
-	if err != nil {
-		// Config is a flat struct of basic types; Marshal cannot fail.
-		panic("serve: cache key: " + err.Error())
-	}
-	h := sha256.New()
-	fmt.Fprintf(h, "seec-result/v%d\n", ResultFormatVersion)
-	h.Write(b)
-	return hex.EncodeToString(h.Sum(nil))
+	var buf [1024]byte // holds the hashed bytes of any ordinary Config
+	sum := sha256.Sum256(append(append(buf[:0], resultKeyPrefix...), cfg.Canonical()...))
+	var key [2 * sha256.Size]byte
+	hex.Encode(key[:], sum[:])
+	return string(key[:])
 }
 
 // EncodeResult renders a result as the canonical cached payload:

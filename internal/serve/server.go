@@ -241,6 +241,7 @@ func New(opts Options) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	replayStart := time.Now()
 	wal, rep, err := OpenWAL(fs, filepath.Join(opts.Dir, "wal.log"))
 	if err != nil {
 		return nil, err
@@ -255,6 +256,7 @@ func New(opts Options) (*Server, error) {
 	}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	resumable := s.fold(rep)
+	replayNs := time.Since(replayStart).Nanoseconds()
 	// The channel must hold every replayed job plus a full client
 	// queue; sends below (and in Submit, which checks QueueDepth under
 	// the mutex first) then never block.
@@ -265,7 +267,7 @@ func New(opts Options) (*Server, error) {
 	for _, j := range resumable {
 		s.enqueueLocked(j)
 	}
-	s.bus.Emit(telemetry.Event{Kind: telemetry.EvWALReplay, Job: -1,
+	s.bus.Emit(telemetry.Event{Kind: telemetry.EvWALReplay, Job: -1, DurNs: replayNs,
 		Total: int64(len(rep.Records)), Attempt: int32(len(resumable)), InFlight: int64(rep.Dropped)})
 	for w := 0; w < opts.Workers; w++ {
 		s.wg.Add(1)
@@ -299,7 +301,9 @@ func (s *Server) fold(rep Replay) []*job {
 				}
 			}
 		case RecRunDone:
-			if j := s.jobs[rec.ID]; j != nil && rec.Run < len(j.runs) {
+			// A run index outside the job is a hand-damaged record:
+			// skipped, like a damaged submit.
+			if j := s.jobs[rec.ID]; j != nil && rec.Run >= 0 && rec.Run < len(j.runs) {
 				j.runs[rec.Run].State = RunDone
 				j.runs[rec.Run].Cached = rec.Cached
 			}

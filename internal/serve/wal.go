@@ -7,6 +7,8 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+
+	"seec/internal/canon"
 )
 
 // Journal record kinds. A job's durable life is: one submit record
@@ -78,7 +80,8 @@ func OpenWAL(fs FS, path string) (*WAL, Replay, error) {
 	if err != nil && !os.IsNotExist(err) {
 		return nil, Replay{}, err
 	}
-	var rep Replay
+	// One record per newline-terminated frame at most.
+	rep := Replay{Records: make([]Record, 0, bytes.Count(data, []byte{'\n'}))}
 	valid := 0 // bytes of verified frames
 	for off := 0; off < len(data); {
 		nl := bytes.IndexByte(data[off:], '\n')
@@ -115,7 +118,8 @@ func OpenWAL(fs FS, path string) (*WAL, Replay, error) {
 	return w, rep, nil
 }
 
-// decodeFrame parses and verifies one "crc8hex json" line.
+// decodeFrame parses and verifies one "crc8hex json" line. The JSON is
+// what Append wrote, so it takes canon's direct path.
 func decodeFrame(line []byte) (Record, bool) {
 	if len(line) < 10 || line[8] != ' ' {
 		return Record{}, false
@@ -128,11 +132,8 @@ func decodeFrame(line []byte) (Record, bool) {
 	if crc32.Checksum(payload, walCRC) != want {
 		return Record{}, false
 	}
-	var rec Record
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return Record{}, false
-	}
-	return rec, true
+	rec, err := canon.Decode[Record](payload)
+	return rec, err == nil
 }
 
 // parseHex8 parses a frame's CRC field: exactly eight hex digits,

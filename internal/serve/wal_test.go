@@ -1,12 +1,16 @@
 package serve
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"seec"
 )
 
 // walPath returns a fresh journal path.
@@ -193,5 +197,53 @@ func TestReplayNextJobID(t *testing.T) {
 	}
 	if st.ID != "j42" {
 		t.Fatalf("first job after replay got ID %s, want j42", st.ID)
+	}
+}
+
+// TestReplaySkipsBadRunIndex: a CRC-valid run_done record whose run
+// index lies outside its job, negative or too large, is skipped on
+// boot instead of crashing it, and the job's runs stay pending.
+func TestReplaySkipsBadRunIndex(t *testing.T) {
+	dir := t.TempDir()
+	w, _, err := OpenWAL(OSFS{}, filepath.Join(dir, "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := &JobSpec{Rates: []float64{0.02, 0.05}}
+	if err := sp.validate(); err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []Record{
+		{Kind: RecSubmit, ID: "j1", Tenant: "t", Spec: sp},
+		{Kind: RecRunDone, ID: "j1", Run: -1, Cached: true},
+		{Kind: RecRunDone, ID: "j1", Run: 2, Cached: true},
+	} {
+		if _, err := w.Append(rec, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	release := make(chan struct{})
+	defer close(release)
+	s := newServer(t, Options{Dir: dir, Workers: 1, RunSynthetic: func(ctx context.Context, cfg seec.Config) (seec.Result, error) {
+		select {
+		case <-release:
+		case <-ctx.Done():
+		}
+		return seec.Result{}, errors.New("held")
+	}})
+	if got := s.Stats().WALJobsResumed; got != 1 {
+		t.Fatalf("%d jobs resumed, want 1", got)
+	}
+	st, ok := s.Job("j1")
+	if !ok {
+		t.Fatal("job j1 not replayed")
+	}
+	for i, r := range st.Runs {
+		if r.State == RunDone || r.Cached {
+			t.Errorf("run %d marked done by an out-of-range record: %+v", i, r)
+		}
 	}
 }

@@ -64,6 +64,7 @@ type Aggregator struct {
 	walRecords  int64
 	walResumed  int64
 	walDropped  int64
+	walReplayNs int64 // the last boot's replay wall time
 
 	// Planner (internal/plan) counters, non-zero only when a planner
 	// feeds the bus.
@@ -163,6 +164,7 @@ func (a *Aggregator) Emit(e Event) {
 		a.walRecords += e.Total
 		a.walResumed += int64(e.Attempt)
 		a.walDropped += e.InFlight
+		a.walReplayNs = e.DurNs
 	case EvPlanCompile:
 		a.planSeen = true
 		a.planCompiles++
@@ -267,6 +269,9 @@ type ServiceStatus struct {
 	WALRecordsReplay  int64   `json:"wal_records_replayed"`
 	WALJobsResumed    int64   `json:"wal_jobs_resumed"`
 	WALRecordsDropped int64   `json:"wal_records_dropped"`
+	// WALReplayMs is the last boot's replay wall time: reading and
+	// decoding the journal and rebuilding the job table from it.
+	WALReplayMs float64 `json:"wal_replay_ms"`
 }
 
 // PlanStatus is the sweep-planner half of a Snapshot: how much of the
@@ -331,6 +336,7 @@ func (a *Aggregator) Snapshot() Snapshot {
 			WALRecordsReplay:  a.walRecords,
 			WALJobsResumed:    a.walResumed,
 			WALRecordsDropped: a.walDropped,
+			WALReplayMs:       float64(a.walReplayNs) / 1e6,
 		}
 		if lookups := a.cacheHits + a.cacheMisses; lookups > 0 {
 			svc.CacheHitRatio = float64(a.cacheHits) / float64(lookups)

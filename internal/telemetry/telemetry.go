@@ -85,7 +85,9 @@ const (
 	EvCacheQuarantine
 	// EvWALReplay: the gateway replayed its write-ahead journal on boot
 	// (Total = records replayed, Attempt = jobs re-enqueued as
-	// resumable, InFlight = trailing records dropped as torn/corrupt).
+	// resumable, InFlight = trailing records dropped as torn/corrupt,
+	// DurNs = the replay's wall time, from reading the journal through
+	// rebuilding the job table).
 	EvWALReplay
 
 	// Planner (internal/plan) events. Job is -1: plan events describe

@@ -113,6 +113,31 @@ func TestAggregatorSweep(t *testing.T) {
 	}
 }
 
+// TestAggregatorWALReplay: a gateway's wal_replay event fills the
+// service block, and wal_replay_ms is the last boot's replay time.
+func TestAggregatorWALReplay(t *testing.T) {
+	a := NewAggregator()
+	a.Emit(Event{Kind: EvWALReplay, Job: -1, DurNs: 80e6, Total: 12000, Attempt: 2, InFlight: 1})
+	a.Emit(Event{Kind: EvWALReplay, Job: -1, DurNs: 38.5e6, Total: 12004})
+	svc := a.Snapshot().Service
+	if svc == nil {
+		t.Fatal("no service block after wal_replay")
+	}
+	if svc.WALReplays != 2 || svc.WALRecordsReplay != 24004 || svc.WALJobsResumed != 2 || svc.WALRecordsDropped != 1 {
+		t.Errorf("replay counters wrong: %+v", svc)
+	}
+	if svc.WALReplayMs != 38.5 {
+		t.Errorf("wal_replay_ms = %v, want the last boot's 38.5", svc.WALReplayMs)
+	}
+	b, err := json.Marshal(a.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(b, []byte(`"wal_replay_ms":38.5`)) {
+		t.Errorf("/status JSON lacks wal_replay_ms: %s", b)
+	}
+}
+
 // TestAggregatorHeartbeats: cycles/sec must come from successive
 // heartbeat deltas, and run_done must retire the run.
 func TestAggregatorHeartbeats(t *testing.T) {
