@@ -38,6 +38,12 @@ GOMAXPROCS=4 go test -race -short -timeout 30m ./...
 # fails or panics and a fork that times out. (The -short race pass
 # above runs these tests once too; none of them skips in -short.)
 GOMAXPROCS=4 go test -race -count=10 -run 'TestForkUnit' -timeout 10m ./internal/plan
+# First-view race leg: a replayed job's configs and cache keys are
+# derived on first use, under the server mutex, by a worker about to run
+# the job or by a view (Job, Jobs); the worker then reads them without
+# the lock. Ten rounds at GOMAXPROCS=4 boot on a journal of queued jobs
+# and view them from two goroutines while two workers run them.
+GOMAXPROCS=4 go test -race -count=10 -run 'TestFirstViewsRace' -timeout 10m ./internal/serve
 # Compile-and-smoke the step benchmarks (one iteration, no -run match):
 # a broken benchmark otherwise only surfaces when someone profiles.
 go test -bench . -benchtime 1x -run XXX ./internal/noc

@@ -157,7 +157,7 @@ type job struct {
 	id        string
 	tenant    string
 	spec      *JobSpec
-	cfgs      []seec.Config
+	cfgs      []seec.Config // nil until the job is first run or viewed; see deriveLocked
 	state     JobState
 	runs      []RunStatus
 	errMsg    string
@@ -283,7 +283,10 @@ func (s *Server) fold(rep Replay) []*job {
 	for _, rec := range rep.Records {
 		switch rec.Kind {
 		case RecSubmit:
-			if rec.Spec == nil {
+			// A second submit of a folded ID (two processes on one
+			// directory, or concatenated journals) is skipped like a
+			// damaged one: the first submit stands.
+			if rec.Spec == nil || s.jobs[rec.ID] != nil {
 				continue // tolerated: old or hand-damaged journal
 			}
 			// Re-validate: limits may have tightened across versions;
@@ -335,14 +338,29 @@ func (s *Server) fold(rep Replay) []*job {
 	return resumable
 }
 
-// buildJob constructs the in-memory job for a validated spec.
+// buildJob constructs the in-memory job for a validated spec: one
+// pending run per rate, whose Config, seed and cache key deriveLocked
+// fills in. A replayed job that is finished and never viewed never
+// pays for them.
 func (s *Server) buildJob(id, tenant string, sp *JobSpec) *job {
-	cfgs := sp.Configs()
-	runs := make([]RunStatus, len(cfgs))
-	for i, c := range cfgs {
-		runs[i] = RunStatus{Rate: c.InjectionRate, Seed: c.Seed, Key: CacheKey(c), State: RunPending}
+	runs := make([]RunStatus, len(sp.rates()))
+	for i := range runs {
+		runs[i].State = RunPending
 	}
-	return &job{id: id, tenant: tenant, spec: sp, cfgs: cfgs, state: JobQueued, runs: runs}
+	return &job{id: id, tenant: tenant, spec: sp, state: JobQueued, runs: runs}
+}
+
+// deriveLocked lowers j's spec to its run Configs and fills each run's
+// rate, seed and cache key, the first time j is run or viewed. Keys are
+// always computed here, never read from the journal. Caller holds s.mu.
+func (j *job) deriveLocked() {
+	if j.cfgs != nil {
+		return
+	}
+	j.cfgs = j.spec.Configs()
+	for i, c := range j.cfgs {
+		j.runs[i].Rate, j.runs[i].Seed, j.runs[i].Key = c.InjectionRate, c.Seed, CacheKey(c)
+	}
 }
 
 // enqueueLocked pushes j and maintains depth accounting + telemetry.
@@ -550,8 +568,10 @@ func (s *Server) Stats() Stats {
 	return s.stats
 }
 
-// viewLocked deep-copies a job's public state under s.mu.
+// viewLocked deep-copies a job's public state under s.mu, deriving its
+// runs first.
 func (s *Server) viewLocked(j *job) JobStatus {
+	j.deriveLocked()
 	runs := make([]RunStatus, len(j.runs))
 	copy(runs, j.runs)
 	return JobStatus{
@@ -590,6 +610,9 @@ func (s *Server) runJob(j *job) {
 		s.mu.Unlock()
 		return
 	}
+	// runOne reads cfgs and keys without the lock; they are written
+	// only here or by a view, under it.
+	j.deriveLocked()
 	j.state = JobRunning
 	runCtx, cancelRun := context.WithCancel(s.ctx)
 	j.cancelRun = cancelRun

@@ -3,8 +3,11 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -482,5 +485,188 @@ func TestDrainingRefusesSubmit(t *testing.T) {
 	}
 	if _, err := s.Submit("", []byte(`{"rate":0.02}`)); !errors.Is(err, ErrDraining) {
 		t.Fatalf("want ErrDraining, got %v", err)
+	}
+}
+
+// TestViewsSurviveRestart: a replayed job derives its runs on first
+// view, and that view equals the one the crashed process served, for a
+// job in every state: done, failed by the breaker, cancelled, partly
+// done when the process died, and still queued. Only what the journal
+// does not record may differ: Resumed; the state and error of a run
+// without a run_done record (a failed or skipped run replays as
+// pending); and a cancelled job's error, since a cancel record carries
+// no message. Every key equals the one the crashed process journaled
+// in that run's run_done record.
+func TestViewsSurviveRestart(t *testing.T) {
+	dir := t.TempDir()
+	// Rate 0.3 fails and trips the breaker; rate 0.4 holds its worker
+	// until the process dies.
+	hold := func(ctx context.Context) (seec.Result, error) {
+		<-ctx.Done()
+		return seec.Result{}, ctx.Err()
+	}
+	s1, err := New(Options{Dir: dir, Workers: 1, RunSynthetic: func(ctx context.Context, cfg seec.Config) (seec.Result, error) {
+		switch cfg.InjectionRate {
+		case 0.3:
+			return seec.Result{}, errors.New("solver exploded")
+		case 0.4:
+			return hold(ctx)
+		}
+		return fakeRun(ctx, cfg)
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	submit := func(spec string) string {
+		t.Helper()
+		st, err := s1.Submit("alice", []byte(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.ID
+	}
+	if st := waitJobPlain(t, s1, submit(`{"rates":[0.02,0.04],"seed":3}`)); st.State != JobDone {
+		t.Fatalf("job finished %s, want done", st.State)
+	}
+	if st := waitJobPlain(t, s1, submit(`{"rates":[0.06,0.3,0.08],"seed":4}`)); st.State != JobFailed {
+		t.Fatalf("breaker job finished %s, want failed", st.State)
+	}
+	partly := submit(`{"rates":[0.05,0.4,0.07],"seed":5}`)
+	waitRun(t, s1, partly, 1, RunRunning)
+	cancelled := submit(`{"rate":0.09,"seed":6}`)
+	if !s1.Cancel(cancelled) {
+		t.Fatal("cancel of a queued job refused")
+	}
+	submit(`{"rate_from":0.02,"rate_to":0.06,"rate_step":0.02,"seed":7}`) // stays queued
+	before := s1.Jobs()
+	s1.Abort()
+
+	_, rep, err := OpenWAL(OSFS{}, filepath.Join(dir, "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2 := newServer(t, Options{Dir: dir, Workers: 1, RunSynthetic: func(ctx context.Context, cfg seec.Config) (seec.Result, error) {
+		return hold(ctx)
+	}})
+	// The restarted worker takes the partly done job first and holds
+	// its interrupted run, as the crashed one did.
+	waitRun(t, s2, partly, 1, RunRunning)
+	after := s2.Jobs()
+
+	normalize := func(views []JobStatus) []byte {
+		t.Helper()
+		for i := range views {
+			views[i].Resumed = false
+			if views[i].State == JobCancelled {
+				views[i].Error = ""
+			}
+			for r := range views[i].Runs {
+				switch run := &views[i].Runs[r]; run.State {
+				case RunFailed, RunTimeout, RunSkipped:
+					run.State, run.Err = RunPending, ""
+				}
+			}
+		}
+		b, err := json.Marshal(views)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	if b, a := normalize(before), normalize(after); !bytes.Equal(b, a) {
+		t.Fatalf("views changed across the restart:\nbefore %s\n after %s", b, a)
+	}
+	byID := make(map[string]JobStatus, len(after))
+	for _, st := range after {
+		byID[st.ID] = st
+	}
+	runDone := 0
+	for _, rec := range rep.Records {
+		if rec.Kind != RecRunDone {
+			continue
+		}
+		runDone++
+		if got := byID[rec.ID].Runs[rec.Run].Key; got != rec.Key {
+			t.Errorf("%s run %d: view key %s, journaled %s", rec.ID, rec.Run, got, rec.Key)
+		}
+	}
+	if runDone != 4 { // 2 done + 1 before the breaker + 1 before the crash
+		t.Fatalf("journal holds %d run_done records, want 4", runDone)
+	}
+}
+
+// waitRun polls until run i of job id reaches state.
+func waitRun(t *testing.T, s *Server, id string, i int, state string) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for time.Now().Before(deadline) {
+		if st, ok := s.Job(id); ok && st.Runs[i].State == state {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+	st, _ := s.Job(id)
+	t.Fatalf("job %s run %d never reached %s: %+v", id, i, state, st)
+}
+
+// TestFirstViewsRace boots on a journal of queued jobs and views them
+// from two goroutines while two workers run them, so a job's first
+// derivation happens in a view or in a worker, whichever comes first.
+// ci.sh runs it ten times under the race detector.
+func TestFirstViewsRace(t *testing.T) {
+	dir := t.TempDir()
+	const jobs = 24
+	specs := make([]*JobSpec, jobs)
+	recs := make([]Record, jobs)
+	for i := range specs {
+		specs[i] = &JobSpec{Rates: []float64{0.02, 0.04, 0.06}, Seed: uint64(i + 1)}
+		recs[i] = Record{Kind: RecSubmit, ID: fmt.Sprintf("j%d", i+1), Tenant: "t", Spec: specs[i]}
+	}
+	writeJournal(t, dir, recs...)
+	s := newServer(t, Options{Dir: dir, Workers: 2})
+	// One goroutine lists every job; the other views them one by one,
+	// last first, so it reaches jobs the workers have not.
+	views := []func() int{
+		func() int {
+			done := 0
+			for _, st := range s.Jobs() {
+				if st.State == JobDone {
+					done++
+				}
+			}
+			return done
+		},
+		func() int {
+			done := 0
+			for i := jobs; i > 0; i-- {
+				if st, _ := s.Job(fmt.Sprintf("j%d", i)); st.State == JobDone {
+					done++
+				}
+			}
+			return done
+		},
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	var wg sync.WaitGroup
+	for _, view := range views {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for view() < jobs {
+				if time.Now().After(deadline) {
+					t.Error("jobs did not finish")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i, st := range s.Jobs() {
+		for r, cfg := range specs[i].Configs() {
+			if run := st.Runs[r]; run.Key != CacheKey(cfg) || run.Rate != cfg.InjectionRate ||
+				run.Seed != cfg.Seed || run.State != RunDone {
+				t.Errorf("%s run %d: %+v, want key %s", st.ID, r, run, CacheKey(cfg))
+			}
+		}
 	}
 }

@@ -171,25 +171,12 @@ func TestWALFramePrefix(t *testing.T) {
 // it.
 func TestReplayNextJobID(t *testing.T) {
 	dir := t.TempDir()
-	w, _, err := OpenWAL(OSFS{}, filepath.Join(dir, "wal.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	sp := &JobSpec{Rate: 0.1}
-	if err := sp.validate(); err != nil {
-		t.Fatal(err)
-	}
+	var recs []Record
 	for _, id := range []string{"j7", "j41", "j99x", "x500", "j-3"} {
-		if _, err := w.Append(Record{Kind: RecSubmit, ID: id, Tenant: "t", Spec: sp}, false); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := w.Append(Record{Kind: RecJobDone, ID: id}, false); err != nil {
-			t.Fatal(err)
-		}
+		recs = append(recs, Record{Kind: RecSubmit, ID: id, Tenant: "t", Spec: sp}, Record{Kind: RecJobDone, ID: id})
 	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
+	writeJournal(t, dir, recs...)
 	s := newServer(t, Options{Dir: dir, Workers: 1})
 	st, err := s.Submit("", []byte(`{"rates":[0.02],"seed":3}`))
 	if err != nil {
@@ -205,26 +192,11 @@ func TestReplayNextJobID(t *testing.T) {
 // boot instead of crashing it, and the job's runs stay pending.
 func TestReplaySkipsBadRunIndex(t *testing.T) {
 	dir := t.TempDir()
-	w, _, err := OpenWAL(OSFS{}, filepath.Join(dir, "wal.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp := &JobSpec{Rates: []float64{0.02, 0.05}}
-	if err := sp.validate(); err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range []Record{
-		{Kind: RecSubmit, ID: "j1", Tenant: "t", Spec: sp},
-		{Kind: RecRunDone, ID: "j1", Run: -1, Cached: true},
-		{Kind: RecRunDone, ID: "j1", Run: 2, Cached: true},
-	} {
-		if _, err := w.Append(rec, false); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
+	writeJournal(t, dir,
+		Record{Kind: RecSubmit, ID: "j1", Tenant: "t", Spec: &JobSpec{Rates: []float64{0.02, 0.05}}},
+		Record{Kind: RecRunDone, ID: "j1", Run: -1, Cached: true},
+		Record{Kind: RecRunDone, ID: "j1", Run: 2, Cached: true},
+	)
 	release := make(chan struct{})
 	defer close(release)
 	s := newServer(t, Options{Dir: dir, Workers: 1, RunSynthetic: func(ctx context.Context, cfg seec.Config) (seec.Result, error) {
@@ -245,5 +217,61 @@ func TestReplaySkipsBadRunIndex(t *testing.T) {
 		if r.State == RunDone || r.Cached {
 			t.Errorf("run %d marked done by an out-of-range record: %+v", i, r)
 		}
+	}
+}
+
+// writeJournal appends recs to a fresh journal at dir/wal.log, the way
+// a previous gateway process would have left it.
+func writeJournal(t *testing.T, dir string, recs ...Record) {
+	t.Helper()
+	w, _, err := OpenWAL(OSFS{}, filepath.Join(dir, "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if rec.Spec != nil {
+			if err := rec.Spec.validate(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := w.Append(rec, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReplaySkipsDuplicateSubmit: a journal that holds two submit
+// records with one ID (two processes on one directory, or concatenated
+// journals) folds to one job, listed once and run by one worker: the
+// first submit stands, and the second is skipped like a damaged one.
+func TestReplaySkipsDuplicateSubmit(t *testing.T) {
+	dir := t.TempDir()
+	first := &JobSpec{Rates: []float64{0.02, 0.05}, Seed: 3}
+	writeJournal(t, dir,
+		Record{Kind: RecSubmit, ID: "j1", Tenant: "first", Spec: first},
+		Record{Kind: RecSubmit, ID: "j1", Tenant: "second", Spec: &JobSpec{Rate: 0.07}},
+	)
+	s := newServer(t, Options{Dir: dir, Workers: 2})
+	if got := s.Stats().WALJobsResumed; got != 1 {
+		t.Fatalf("%d jobs resumed, want 1", got)
+	}
+	jobs := s.Jobs()
+	if len(jobs) != 1 {
+		t.Fatalf("Jobs() lists %d jobs, want 1: %+v", len(jobs), jobs)
+	}
+	done := waitJob(t, s, "j1")
+	if done.State != JobDone || done.Tenant != "first" || len(done.Runs) != 2 {
+		t.Fatalf("job j1 after replay: %+v", done)
+	}
+	for i, cfg := range first.Configs() {
+		if got := done.Runs[i].Key; got != CacheKey(cfg) {
+			t.Errorf("run %d key %s, want the first submit's %s", i, got, CacheKey(cfg))
+		}
+	}
+	if st := s.Stats(); st.JobsDone != 1 || st.Simulations != 2 {
+		t.Fatalf("one job of two runs ran as %+v", st)
 	}
 }
